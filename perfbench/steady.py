@@ -8,8 +8,10 @@ Each workload runs ``--runs`` times through ``run.py`` (untraced, one
 process at a time, seeds ``first-seed .. first-seed + runs - 1``, run
 length from ``BENCHMARK.json``).  For every end-to-end metric the report
 prints the median, the quartiles (``statistics.quantiles(n=4)``), the
-spread (Q3 - Q1) / median, the metric's bound, and whether the spread is
-below a third of the bound.  ``--out`` also writes the raw values as JSON.
+spread (Q3 - Q1) / median and the metric's bound.  A spread below a third
+of its bound is ``steady``, one up to the bound is ``within``, and one
+above it is ``OVER``; any ``OVER`` makes the report exit with status 1.
+``setup_s`` is judged like every other metric.
 """
 
 import argparse
@@ -42,11 +44,9 @@ def main(argv=None):
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
-    parser.add_argument("--out", default=None, help="write raw values as JSON")
     args = parser.parse_args(argv)
 
     bounds = {metric["name"]: metric["bound"] for metric in bench["end_to_end"]}
-    raw = {}
     steady = True
     for workload in args.workloads:
         values = {}
@@ -54,23 +54,19 @@ def main(argv=None):
             for name, value in run_once(workload, seed, bench["run_seconds"]).items():
                 values.setdefault(name, []).append(value)
             print(f"{workload}: seed {seed} done", file=sys.stderr, flush=True)
-        raw[workload] = values
         print(f"\n{workload} ({args.runs} runs)")
         print(f"{'metric':<16}{'median':>14}{'q1':>14}{'q3':>14}{'spread':>9}"
-              f"{'bound':>8}  <bound/3")
+              f"{'bound':>8}  verdict")
         for name, series in values.items():
             median = statistics.median(series)
             q1, _, q3 = statistics.quantiles(series, n=4)
             spread = (q3 - q1) / median
-            # setup_s is judged on its median only, not on its spread.
-            ok = name == "setup_s" or spread < bounds[name] / 3
-            steady = steady and ok
-            verdict = "n/a" if name == "setup_s" else "yes" if ok else "NO"
+            bound = bounds[name]
+            steady = steady and spread <= bound
+            verdict = ("steady" if spread < bound / 3
+                       else "within" if spread <= bound else "OVER")
             print(f"{name:<16}{median:>14.4f}{q1:>14.4f}{q3:>14.4f}{spread:>9.3f}"
-                  f"{bounds[name]:>8.2f}  {verdict}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(raw, handle, indent=1)
+                  f"{bound:>8.2f}  {verdict}")
     return 0 if steady else 1
 
 
