@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from repro.experiments.tables import Table
 from repro.sketch.l0 import L0Sampler
 from repro.utils.rng import derive_rng, ensure_rng
@@ -64,16 +66,20 @@ def run(fast: bool = True, seed: int = 2022) -> Table:
         counts: Counter = Counter()
         failures = 0
         ghosts = 0
-        space = 0
+        # One fresh sampler per draw, all held in one bank and fed the
+        # workload in one array call.
+        bank = L0Sampler.bank(
+            universe,
+            [derive_rng(rng, f"{universe}-{repetitions}-{draw}") for draw in range(draws)],
+            repetitions=repetitions,
+        )
+        bank.update_many_arrays(
+            np.array([item for item, _ in updates], dtype=np.int64),
+            np.array([delta for _, delta in updates], dtype=np.int64),
+        )
+        space = bank.space_words // draws
         for draw in range(draws):
-            sampler = L0Sampler(
-                universe, derive_rng(rng, f"{universe}-{repetitions}-{draw}"),
-                repetitions=repetitions,
-            )
-            for item, delta in updates:
-                sampler.update(item, delta)
-            space = sampler.space_words
-            result = sampler.sample()
+            result = bank.sample(draw)
             if result is None:
                 failures += 1
             elif result not in live_items:

@@ -16,6 +16,10 @@ Two evaluation paths share the same coefficients:
 
 Both paths return identical field elements for identical inputs; the
 fuzz tests in ``tests/test_vectorized_equivalence.py`` pin this down.
+The module-level forms (:func:`horner_vec`, :func:`hash_levels`,
+:func:`powmod_rows`) broadcast, so the ℓ0-sampler bank evaluates one
+hash function *per row* over a block of ``(row, item)`` pairs with the
+same exact arithmetic.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.errors import MergeError
-from repro.utils.checkpoint import check_merge_config, check_state_config, state_field
 from repro.utils.rng import RandomSource, ensure_rng
 
 #: The Mersenne prime 2^61 - 1.
@@ -39,9 +41,14 @@ _U29 = np.uint64(29)
 _U32 = np.uint64(32)
 _U61 = np.uint64(61)
 
+#: Exponent bits per window of :func:`power_tables` (64-entry tables).
+WINDOW_BITS = 6
+_WINDOW = 1 << WINDOW_BITS
+_WINDOW_MASK = np.uint64(_WINDOW - 1)
 
-def mulmod_vec(a: np.ndarray, b) -> np.ndarray:
-    """Elementwise ``(a * b) mod (2^61 - 1)`` on ``uint64`` operands < p.
+
+def mulmod_vec(a: np.ndarray, b, addend=None) -> np.ndarray:
+    """Elementwise ``(a * b [+ addend]) mod (2^61 - 1)`` on ``uint64`` operands < p.
 
     A 61-bit product does not fit in 64 bits, so each factor is split
     into 32-bit limbs; ``2^64 ≡ 8`` and ``2^61 ≡ 1 (mod p)`` fold the
@@ -50,30 +57,42 @@ def mulmod_vec(a: np.ndarray, b) -> np.ndarray:
     ``a·b = hh·2^64 + mid·2^32 + ll`` with ``hh = a_hi·b_hi`` (< 2^58),
     ``mid = a_hi·b_lo + a_lo·b_hi`` (< 2^62), ``ll = a_lo·b_lo``.
     ``mid·2^32 = (mid >> 29)·2^61 + (mid mod 2^29)·2^32 ≡
-    (mid >> 29) + (mid mod 2^29)·2^32``.
+    (mid >> 29) + (mid mod 2^29)·2^32``.  The folded terms sum below
+    ``3·2^61 + 2^34``, so an *addend* < p (a Horner step's coefficient)
+    joins them before the single final reduction.  Operands broadcast.
     """
     a_hi = a >> _U32
     a_lo = a & _MASK32
     b_hi = b >> _U32
     b_lo = b & _MASK32
-    hh = a_hi * b_hi
-    mid = a_hi * b_lo + a_lo * b_hi
+    mid = a_hi * b_lo
+    mid += a_lo * b_hi
+    out = a_hi * b_hi
+    out <<= _U3
     ll = a_lo * b_lo
-    out = (
-        (hh << _U3)
-        + (mid >> _U29)
-        + ((mid & _MASK29) << _U32)
-        + (ll >> _U61)
-        + (ll & _P)
-    )
-    out = (out >> _U61) + (out & _P)
-    return np.where(out >= _P, out - _P, out)
+    out += ll >> _U61
+    ll &= _P
+    out += ll
+    out += mid >> _U29
+    mid &= _MASK29
+    mid <<= _U32
+    out += mid
+    if addend is not None:
+        out += addend
+    high = out >> _U61
+    out &= _P
+    out += high
+    return _reduce_once(out)
+
+
+def _reduce_once(out: np.ndarray) -> np.ndarray:
+    """``out mod p`` for ``out < 2p``: below p, ``out - p`` wraps above ``out``."""
+    return np.minimum(out, out - _P)
 
 
 def addmod_vec(a: np.ndarray, b) -> np.ndarray:
     """Elementwise ``(a + b) mod (2^61 - 1)`` on ``uint64`` operands < p."""
-    out = a + b
-    return np.where(out >= _P, out - _P, out)
+    return _reduce_once(a + b)
 
 
 def powmod_vec(base: int, exponents: np.ndarray) -> np.ndarray:
@@ -100,6 +119,114 @@ def powmod_vec(base: int, exponents: np.ndarray) -> np.ndarray:
         square = (square * square) % MERSENNE_PRIME
         bit += 1
     return result
+
+
+def power_tables(bases: np.ndarray, bits: int) -> np.ndarray:
+    """Per-row window tables: ``T[r, j, w] = bases[r]^(w·64^j) mod p``.
+
+    Covers exponents below ``2^bits`` with ``ceil(bits / 6)`` windows of
+    64 entries; each window fills by doubling (6 vector products over
+    the rows), then its base steps to the next power of 64.
+    """
+    bases = np.ascontiguousarray(bases, dtype=np.uint64)
+    windows = max(1, -(-bits // WINDOW_BITS))
+    tables = np.empty((len(bases), windows, _WINDOW), dtype=np.uint64)
+    step = bases % _P
+    for window in range(windows):
+        table = tables[:, window]
+        table[:, 0] = 1
+        width = 1
+        while width < _WINDOW:
+            factor = mulmod_vec(table[:, width - 1], step)  # step^width
+            table[:, width : 2 * width] = mulmod_vec(table[:, :width], factor[:, None])
+            width *= 2
+        step = mulmod_vec(table[:, _WINDOW - 1], step)  # step^64
+    return tables
+
+
+def powmod_rows(tables: np.ndarray, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``base[row]^exponent mod p`` from :func:`power_tables`, broadcasting.
+
+    *rows* and *exponents* broadcast against each other (a row block
+    against shared items, or flat ``(row, item)`` pairs); every
+    exponent must be below ``2^(6·windows)``.  Costs one gather per
+    window the largest exponent uses plus one :func:`mulmod_vec` per
+    further window — not one masked product per exponent bit.
+    """
+    exponents = np.asarray(exponents, dtype=np.uint64)
+    windows = tables.shape[1]
+    flat = tables.reshape(-1)
+    base = np.asarray(rows, dtype=np.int64) * (windows * _WINDOW)
+    top = int(exponents.max()) if exponents.size else 0
+    used = max(1, -(-top.bit_length() // WINDOW_BITS))
+    if used > windows:
+        raise ValueError(f"exponent {top} needs {used} windows; the tables have {windows}")
+    result = flat.take(base + (exponents & _WINDOW_MASK).astype(np.int64))
+    for window in range(1, used):
+        digits = (exponents >> np.uint64(WINDOW_BITS * window)) & _WINDOW_MASK
+        result = mulmod_vec(
+            result, flat.take(base + (window * _WINDOW) + digits.astype(np.int64))
+        )
+    return result
+
+
+def horner_vec(coefficients, x: np.ndarray) -> np.ndarray:
+    """Evaluate polynomials at *x* over GF(p), highest degree first.
+
+    Each ``coefficients[k]`` broadcasts against *x*: scalars give one
+    polynomial, a ``(rows, 1)`` column block gives one polynomial per
+    row over shared items, and a ``(pairs,)`` gather gives one per
+    ``(row, item)`` pair.
+    """
+    if len(coefficients) == 1:
+        return addmod_vec(np.zeros_like(x), coefficients[0])
+    accumulator = coefficients[0]
+    for coefficient in coefficients[1:]:
+        accumulator = mulmod_vec(accumulator, x, coefficient)
+    return accumulator
+
+
+def horner(coefficients: Sequence[int], item: int) -> int:
+    """Scalar Python-int form of :func:`horner_vec` (the exact reference)."""
+    accumulator = 0
+    x = item % MERSENNE_PRIME
+    for coefficient in coefficients:
+        accumulator = (accumulator * x + coefficient) % MERSENNE_PRIME
+    return accumulator
+
+
+def geometric_level(raw: int, max_level: int) -> int:
+    """Level of a raw hash value: ``P(level >= l) = 2^-l``, capped.
+
+    Level l contains the value iff the top l bits of the hash are
+    zero — the standard ℓ0-sampler subsampling scheme.
+    """
+    level = 0
+    threshold = MERSENNE_PRIME
+    while level < max_level:
+        threshold //= 2
+        if raw >= threshold:
+            break
+        level += 1
+    return level
+
+
+def hash_levels(raw: np.ndarray, max_level: int) -> np.ndarray:
+    """Vectorized :func:`geometric_level` over an array of raw values.
+
+    The scalar loop halves ``MERSENNE_PRIME`` down and stops at the
+    first threshold the hash reaches, so ``level = #{k in [1,
+    max_level] : raw < p >> k}`` (the thresholds are decreasing, so
+    the satisfied set is a prefix).  A ``searchsorted`` against the
+    ascending threshold array counts that prefix per value.
+    """
+    if max_level < 1:
+        return np.zeros(raw.shape, dtype=np.int64)
+    thresholds = np.array(
+        [MERSENNE_PRIME >> k for k in range(max_level, 0, -1)], dtype=np.uint64
+    )
+    below = np.searchsorted(thresholds, raw, side="right")
+    return max_level - below.astype(np.int64)
 
 
 class PolynomialHash:
@@ -139,63 +266,24 @@ class PolynomialHash:
     def independence(self) -> int:
         return len(self._coefficients)
 
-    def merge(self, other: "PolynomialHash") -> None:
-        """Merge-compatibility check: hash functions carry no aggregates.
-
-        A hash function is frozen randomness, so "merging" two of them
-        is a no-op — but only when they are the *same* function.  Two
-        shards hashed with different coefficient vectors placed items
-        at different ℓ0 levels, and their level sketches must never be
-        added; a coefficient mismatch raises
-        :class:`~repro.errors.MergeError` naming the field.
-        """
-        if not isinstance(other, PolynomialHash):
-            raise MergeError(
-                f"cannot merge PolynomialHash with {type(other).__name__}"
-            )
-        check_merge_config(
-            "PolynomialHash",
-            independence=(self.independence, other.independence),
-            coefficients=(self._coefficients, other._coefficients),
-        )
-
-    def state_dict(self) -> dict:
-        """The drawn coefficients (a hash function is frozen randomness)."""
-        return {
-            "independence": self.independence,
-            "coefficients": tuple(self._coefficients),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Adopt a captured coefficient vector of the same independence."""
-        check_state_config("PolynomialHash", state, independence=self.independence)
-        coefficients = tuple(
-            int(c) for c in state_field("PolynomialHash", state, "coefficients")
-        )
-        self._coefficients = coefficients
-        self._coefficients_vec = np.array(coefficients, dtype=np.uint64)
+    @property
+    def coefficients(self) -> tuple:
+        """The drawn coefficients, highest degree first."""
+        return self._coefficients
 
     def value(self, item: int) -> int:
         """Raw hash value in ``[0, MERSENNE_PRIME)`` (Horner evaluation)."""
-        accumulator = 0
-        x = item % MERSENNE_PRIME
-        for coefficient in self._coefficients:
-            accumulator = (accumulator * x + coefficient) % MERSENNE_PRIME
-        return accumulator
+        return horner(self._coefficients, item)
 
     def values_many(self, items) -> np.ndarray:
         """Raw hash values for a batch of items, as a ``uint64`` array.
 
         Bit-identical to calling :meth:`value` per item: the batched
-        Horner runs the same exact field arithmetic via
-        :func:`mulmod_vec`.
+        Horner (:func:`horner_vec`) runs the same exact field
+        arithmetic via :func:`mulmod_vec`.
         """
         x = np.ascontiguousarray(items, dtype=np.uint64) % _P
-        coefficients = self._coefficients_vec
-        accumulator = np.full_like(x, coefficients[0])
-        for coefficient in coefficients[1:]:
-            accumulator = addmod_vec(mulmod_vec(accumulator, x), coefficient)
-        return accumulator
+        return horner_vec(self._coefficients_vec, x)
 
     def to_range(self, item: int, size: int) -> int:
         """Hash reduced to ``[0, size)`` (negligible modular bias)."""
@@ -208,38 +296,12 @@ class PolynomialHash:
         return self.value(item) / MERSENNE_PRIME
 
     def level(self, item: int, max_level: int) -> int:
-        """Geometric level: ``P(level >= l) = 2^-l``, capped at *max_level*.
-
-        Level l contains the item iff the top l bits of the hash are
-        zero — the standard ℓ0-sampler subsampling scheme.
-        """
-        raw = self.value(item)
-        level = 0
-        threshold = MERSENNE_PRIME
-        while level < max_level:
-            threshold //= 2
-            if raw >= threshold:
-                break
-            level += 1
-        return level
+        """Geometric level of *item* (see :func:`geometric_level`)."""
+        return geometric_level(self.value(item), max_level)
 
     def levels_many(self, items, max_level: int) -> np.ndarray:
-        """Geometric levels for a batch of items (matches :meth:`level`).
-
-        The scalar loop halves ``MERSENNE_PRIME`` down and stops at the
-        first threshold the hash reaches, so ``level = #{k in [1,
-        max_level] : raw < p >> k}`` (the thresholds are decreasing, so
-        the satisfied set is a prefix).  A ``searchsorted`` against the
-        ascending threshold array counts that prefix per item.
-        """
-        raw = self.values_many(items)
-        if max_level < 1:
-            return np.zeros_like(raw, dtype=np.int64)
-        thresholds = np.array(
-            [MERSENNE_PRIME >> k for k in range(max_level, 0, -1)], dtype=np.uint64
-        )
-        below = np.searchsorted(thresholds, raw, side="right")
-        return (max_level - below).astype(np.int64)
+        """Geometric levels for a batch of items (matches :meth:`level`)."""
+        return hash_levels(self.values_many(items), max_level)
 
 
 def split_sum(values: np.ndarray) -> int:

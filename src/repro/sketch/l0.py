@@ -1,44 +1,84 @@
 """ℓ0-sampling for turnstile streams (Lemma 7, Cormode–Firmani).
 
-An :class:`L0Sampler` returns a (near-)uniform non-zero coordinate of
-a signed vector maintained under insertions and deletions.  Structure:
+An ℓ0-sampler returns a (near-)uniform non-zero coordinate of a signed
+vector maintained under insertions and deletions.  Structure:
 
 * ``levels`` geometric sub-sampling levels; a k-wise independent hash
   assigns every coordinate its maximum level (P(level >= l) = 2^-l);
-* one :class:`OneSparseRecovery` per level;
-* query: scan levels bottom-up and return the first successful
-  recovery.  At the level where the expected number of surviving
-  coordinates is Θ(1), recovery succeeds with constant probability;
-  ``repetitions`` independent copies drive the failure probability
-  down geometrically, matching Lemma 7's 1 - 1/n^c guarantee.
+* one exact 1-sparse recovery cell (:mod:`repro.sketch.onesparse`) per
+  level;
+* query: scan levels top-down and return the first verified recovery.
+  At the level where the expected number of surviving coordinates is
+  Θ(1), recovery succeeds with constant probability; ``repetitions``
+  independent copies drive the failure probability down geometrically,
+  matching Lemma 7's 1 - 1/n^c guarantee.
 
 The paper uses ℓ0-samplers in two places (proof of Theorem 11): a
 sampler over the adjacency-matrix vector emulates f1 (uniform edge),
 and a sampler over one adjacency-list column emulates f3 (uniform
 neighbor).
+
+:class:`L0Sampler` holds a whole *bank* of samplers as arrays, one row
+per (sampler, repetition) — row ``sampler * repetitions + repetition``:
+hash coefficients ``(8, rows)``, fingerprint bases ``(rows,)``, and the
+one-sparse aggregates as ``(rows, levels + 1)`` cells.  One
+:meth:`~L0Sampler.update_many_arrays` call drives every sampler of a
+turnstile pass, so the per-call cost is paid per batch, not per
+sampler and repetition.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import MergeError, SketchError
+from repro.errors import CheckpointError, MergeError, SketchError
 from repro.sketch.hashing import MERSENNE_PRIME as _PRIME
-from repro.sketch.hashing import PolynomialHash, mulmod_vec, powmod_vec
-from repro.sketch.onesparse import OneSparseRecovery
+from repro.sketch.hashing import (
+    PolynomialHash,
+    addmod_vec,
+    geometric_level,
+    hash_levels,
+    horner,
+    horner_vec,
+    mulmod_vec,
+    power_tables,
+    powmod_rows,
+)
+from repro.sketch.onesparse import OneSparseRecovery, draw_base, recover
 from repro.utils.checkpoint import check_merge_config, check_state_config, state_field
 from repro.utils.rng import RandomSource, derive_rng, ensure_rng
 
 _HASH_INDEPENDENCE = 8
 
-_MASK32 = np.uint64(0xFFFFFFFF)
+#: ``(row, item)`` pairs per kernel block: bounds the transient arrays
+#: whatever the bank and batch sizes.
+_BLOCK_PAIRS = 8192
+
+#: The array kernel takes batches with ``max|delta| × length`` at or
+#: below this, so each of its limb sums stays below 2^62 in magnitude;
+#: heavier batches take the exact scalar path.
+_ARRAY_DELTA_MASS = 1 << 30
+
+#: Largest ``|weight|`` and ``|weighted_sum >> 32|`` a cell may hold.
+#: A cell at the bound plus another cell (a merge) or plus one array
+#: batch still sums inside int64, so the bound check itself cannot wrap.
+CELL_BOUND = 1 << 61
+
+_LOW_MASK = (1 << 32) - 1
+_U32 = np.uint64(32)
+_MASK32 = np.uint64(_LOW_MASK)
+_TWO_POW_32 = np.uint64(1 << 32)
 
 
 class L0Sampler:
-    """Near-uniform sampler over the support of a turnstile vector.
+    """A bank of near-uniform samplers over supports of turnstile vectors.
+
+    ``L0Sampler(universe, rng)`` is a bank of one sampler;
+    :meth:`bank` builds one sampler per random source.  Methods that
+    read or write one sampler take its index (default 0).
 
     Parameters
     ----------
@@ -51,6 +91,12 @@ class L0Sampler:
         ``2^-repetitions`` at the critical level.
     levels:
         Number of sub-sampling levels; defaults to ``log2(universe)+2``.
+
+    Each cell keeps its weight and its weighted sum as exact int64
+    limbs (``high = Σ delta·(item >> 32)``, ``low`` carried into
+    ``[0, 2^32)`` after every batch) and its fingerprint mod p.  A cell
+    whose ``|weight|`` or ``|high|`` would pass :data:`CELL_BOUND`
+    raises :class:`~repro.errors.SketchError` instead of wrapping.
     """
 
     def __init__(
@@ -60,143 +106,260 @@ class L0Sampler:
         repetitions: int = 8,
         levels: Optional[int] = None,
     ) -> None:
+        self._build(universe, [rng], repetitions, levels)
+
+    @classmethod
+    def bank(
+        cls,
+        universe: int,
+        rngs: Sequence[RandomSource],
+        repetitions: int = 8,
+        levels: Optional[int] = None,
+    ) -> "L0Sampler":
+        """One sampler per source in *rngs*, in order.
+
+        Sampler ``s`` draws exactly what ``L0Sampler(universe, rngs[s])``
+        draws, so a bank is bit-identical to its samplers built alone.
+        """
+        bank = cls.__new__(cls)
+        bank._build(universe, rngs, repetitions, levels)
+        return bank
+
+    def _build(self, universe, rngs, repetitions, levels) -> None:
         if universe <= 0:
             raise SketchError(f"universe must be positive, got {universe}")
         if repetitions < 1:
             raise SketchError(f"repetitions must be >= 1, got {repetitions}")
-        random_state = ensure_rng(rng)
         self._universe = universe
         self._levels = levels if levels is not None else max(2, int(math.log2(universe)) + 2)
         self._repetitions = repetitions
-        self._hashes: List[PolynomialHash] = []
-        self._sketches: List[List[OneSparseRecovery]] = []
-        self._bases: List[int] = []
-        for repetition in range(repetitions):
-            child = derive_rng(random_state, f"l0-rep-{repetition}")
-            self._hashes.append(PolynomialHash(_HASH_INDEPENDENCE, child))
-            # All levels of one repetition share a fingerprint base so
-            # an update needs a single modular exponentiation.
-            probe = OneSparseRecovery(universe, child)
-            self._bases.append(probe.z)
-            self._sketches.append(
-                [OneSparseRecovery(universe, z=probe.z) for _ in range(self._levels + 1)]
-            )
+        coefficients: List[Tuple[int, ...]] = []
+        bases: List[int] = []
+        for rng in rngs:
+            random_state = ensure_rng(rng)
+            for repetition in range(repetitions):
+                child = derive_rng(random_state, f"l0-rep-{repetition}")
+                coefficients.append(PolynomialHash(_HASH_INDEPENDENCE, child).coefficients)
+                # All levels of one repetition share a fingerprint base so
+                # an update needs a single modular exponentiation.
+                bases.append(draw_base(child))
+        rows = len(bases)
+        # Coefficient-major: _coefficients[k] is one coefficient over all rows.
+        self._coefficients = np.array(coefficients, dtype=np.uint64).reshape(
+            rows, _HASH_INDEPENDENCE
+        ).T.copy()
+        self._bases = np.array(bases, dtype=np.uint64)
+        cells = (rows, self._levels + 1)
+        self._weight = np.zeros(cells, dtype=np.int64)
+        self._sum_high = np.zeros(cells, dtype=np.int64)
+        self._sum_low = np.zeros(cells, dtype=np.int64)
+        self._fingerprint = np.zeros(cells, dtype=np.uint64)
+        self._tables: Optional[np.ndarray] = None
 
     @property
     def universe(self) -> int:
         return self._universe
 
     @property
+    def samplers(self) -> int:
+        """Number of samplers in the bank."""
+        return len(self._bases) // self._repetitions
+
+    @property
     def space_words(self) -> int:
-        """Accounted words: recovery sketches plus hash coefficients."""
+        """Accounted words of the bank: recovery cells plus hash coefficients."""
         per_repetition = (self._levels + 1) * OneSparseRecovery.WORDS + _HASH_INDEPENDENCE
-        return self._repetitions * per_repetition
+        return len(self._bases) * per_repetition
+
+    def _rows(self, sampler: int) -> slice:
+        if not 0 <= sampler < self.samplers:
+            raise SketchError(f"sampler {sampler} outside bank of {self.samplers}")
+        return slice(sampler * self._repetitions, (sampler + 1) * self._repetitions)
 
     def update(self, item: int, delta: int) -> None:
-        """Apply ``x[item] += delta`` to every repetition."""
-        if not 0 <= item < self._universe:
-            raise SketchError(f"item {item} outside universe [0, {self._universe})")
-        for hash_function, sketch_levels, base in zip(
-            self._hashes, self._sketches, self._bases
-        ):
-            item_level = hash_function.level(item, self._levels)
-            z_power = pow(base, item, _PRIME)
-            # The item participates in levels 0..item_level.
-            for level in range(item_level + 1):
-                sketch_levels[level].update_with_power(item, delta, z_power)
+        """Apply ``x[item] += delta`` to every sampler of the bank."""
+        self.update_many([(item, delta)])
 
-    def update_many(self, updates: Sequence[Tuple[int, int]]) -> None:
-        """Apply a batch of ``(item, delta)`` updates to every repetition.
+    def update_many(
+        self, updates: Iterable[Tuple[int, int]], sampler: Optional[int] = None
+    ) -> None:
+        """Scalar reference path: apply ``(item, delta)`` pairs exactly.
 
-        Equivalent to calling :meth:`update` per pair (the sketches are
-        linear), but iterates repetition-major so per-repetition lookups
-        are paid once per batch instead of once per element.
+        Every sampler takes every pair, or only *sampler* when given.
+        Per row and pair it runs the definition with Python ints — the
+        Horner hash, the geometric level, ``pow`` for ``z^item``, and
+        the item added to levels ``0..level`` — which the array kernel
+        of :meth:`update_many_arrays` must match bit for bit.
         """
+        updates = list(updates)
         universe = self._universe
-        levels = self._levels
         for item, _ in updates:
             if not 0 <= item < universe:
                 raise SketchError(f"item {item} outside universe [0, {universe})")
-        for hash_function, sketch_levels, base in zip(
-            self._hashes, self._sketches, self._bases
+        rows = slice(0, len(self._bases)) if sampler is None else self._rows(sampler)
+        width = self._levels + 1
+        weight: List[int] = []
+        weighted: List[int] = []
+        fingerprint: List[int] = []
+        for coefficients, base in zip(
+            self._coefficients.T[rows].tolist(), self._bases[rows].tolist()
         ):
-            level_of = hash_function.level
+            row_weight = [0] * width
+            row_weighted = [0] * width
+            row_fingerprint = [0] * width
             for item, delta in updates:
-                item_level = level_of(item, levels)
+                item_level = geometric_level(horner(coefficients, item), self._levels)
                 z_power = pow(base, item, _PRIME)
+                # The item participates in levels 0..item_level.
                 for level in range(item_level + 1):
-                    sketch_levels[level].update_with_power(item, delta, z_power)
+                    row_weight[level] += delta
+                    row_weighted[level] += delta * item
+                    row_fingerprint[level] = (
+                        row_fingerprint[level] + delta * z_power
+                    ) % _PRIME
+            weight += row_weight
+            weighted += row_weighted
+            fingerprint += row_fingerprint
+        shape = (-1, width)
+        weight_cells, high, low = (part.reshape(shape) for part in _limbs(weight, weighted))
+        self._accumulate(
+            rows, weight_cells, high, low,
+            np.array(fingerprint, dtype=np.uint64).reshape(shape),
+        )
 
-    def update_many_arrays(self, items: np.ndarray, deltas: np.ndarray) -> None:
+    def update_many_arrays(
+        self,
+        items: np.ndarray,
+        deltas: np.ndarray,
+        samplers: Optional[np.ndarray] = None,
+    ) -> None:
         """Vectorized :meth:`update_many` over parallel numpy arrays.
 
-        Per repetition: one batched Horner assigns every item its level
-        (:meth:`~repro.sketch.hashing.PolynomialHash.levels_many`), one
-        shared-base :func:`~repro.sketch.hashing.powmod_vec` computes
-        the fingerprint powers, and a grouped scatter-add folds the
-        batch into the one-sparse counters.  An item at level L updates
-        counters 0..L, so per-level aggregates are suffix sums of the
-        per-level-value aggregates — O(batch + levels) adds instead of
-        O(batch × level) Python calls.  Aggregates are recombined from
-        32-bit limbs as exact Python ints, so the result is
-        bit-identical to the scalar path.
+        With *samplers* ``None`` every sampler takes every ``(item,
+        delta)`` — edge samplers see the whole batch, as a 2-D step over
+        row blocks × items.  Otherwise ``samplers[i]`` names the one
+        sampler item ``i`` updates — neighbor samplers see their
+        vertex's incident updates, as flat ``(row, item)`` pairs with
+        gathered coefficients.  Either way one call drives the bank:
+
+        * blocks of ~8k ``(row, item)`` pairs, never rows × items at once;
+        * per pair, a Horner hash assigns the level, the row's window
+          tables give ``z^item`` (:func:`~repro.sketch.hashing.powmod_rows`),
+          and one product gives the signed fingerprint term;
+        * one ``np.add.at`` into ``(row × level)`` limb bins, then a
+          suffix ``cumsum`` along levels (an item at level L updates
+          cells 0..L), folded in with the limb carry.
+
+        Bit-identical to :meth:`update_many`: every field operation is
+        exact and the integer aggregates are exact limb sums.  A batch
+        with ``max|delta| × length`` above 2^30 takes the scalar path.
         """
-        if not len(items):
-            return
         items = np.ascontiguousarray(items, dtype=np.int64)
-        deltas = np.ascontiguousarray(deltas, dtype=np.int64)
-        # Limb sums stay exact iff max|delta| × batch <= 2^31 (see
-        # OneSparseRecovery.update_many_arrays); stream deltas are ±1,
-        # so the exact scalar fallback is for API callers only.
-        largest = max(-int(deltas.min()), int(deltas.max()))
-        if largest * len(deltas) > (1 << 31):
-            self.update_many(list(zip(items.tolist(), deltas.tolist())))
+        if not len(items) or not len(self._bases):
             return
+        deltas = np.ascontiguousarray(deltas, dtype=np.int64)
         universe = self._universe
         if items.min() < 0 or items.max() >= universe:
             bad = items[(items < 0) | (items >= universe)][0]
             raise SketchError(f"item {int(bad)} outside universe [0, {universe})")
-        levels = self._levels
-        items_u64 = items.astype(np.uint64)
-        # Exact weighted-sum limbs (shared by every repetition).
-        item_high = items >> 32
-        item_low = items & 0xFFFFFFFF
-        for hash_function, sketch_levels, base in zip(
-            self._hashes, self._sketches, self._bases
-        ):
-            item_levels = hash_function.levels_many(items_u64, levels)
-            top = int(item_levels.max())
-            z_powers = powmod_vec(base, items_u64)
-            # Signed fingerprint contribution per update, in [0, p).
-            signed = mulmod_vec(
-                (deltas % _PRIME).astype(np.uint64), z_powers
-            )
-            buckets = top + 1
-            weight_by = np.zeros(buckets, dtype=np.int64)
-            np.add.at(weight_by, item_levels, deltas)
-            ws_high_by = np.zeros(buckets, dtype=np.int64)
-            np.add.at(ws_high_by, item_levels, deltas * item_high)
-            ws_low_by = np.zeros(buckets, dtype=np.int64)
-            np.add.at(ws_low_by, item_levels, deltas * item_low)
-            fp_high_by = np.zeros(buckets, dtype=np.int64)
-            np.add.at(fp_high_by, item_levels, (signed >> np.uint64(32)).astype(np.int64))
-            fp_low_by = np.zeros(buckets, dtype=np.int64)
-            np.add.at(fp_low_by, item_levels, (signed & _MASK32).astype(np.int64))
-            # Suffix sums: level l aggregates every item with level >= l.
-            weight_suffix = np.cumsum(weight_by[::-1])[::-1]
-            ws_high_suffix = np.cumsum(ws_high_by[::-1])[::-1]
-            ws_low_suffix = np.cumsum(ws_low_by[::-1])[::-1]
-            fp_high_suffix = np.cumsum(fp_high_by[::-1])[::-1]
-            fp_low_suffix = np.cumsum(fp_low_by[::-1])[::-1]
-            for level in range(buckets):
-                sketch_levels[level].apply_aggregates(
-                    int(weight_suffix[level]),
-                    (int(ws_high_suffix[level]) << 32) + int(ws_low_suffix[level]),
-                    ((int(fp_high_suffix[level]) << 32) + int(fp_low_suffix[level]))
-                    % _PRIME,
+        if samplers is not None:
+            samplers = np.ascontiguousarray(samplers, dtype=np.int64)
+            if samplers.min() < 0 or samplers.max() >= self.samplers:
+                raise SketchError(f"sampler index outside bank of {self.samplers}")
+        # Min/max as Python ints: np.abs(int64 min) would itself wrap.
+        largest = max(-int(deltas.min()), int(deltas.max()))
+        if largest * len(items) > _ARRAY_DELTA_MASS:
+            if samplers is None:
+                self.update_many(zip(items.tolist(), deltas.tolist()))
+            else:
+                for sampler in np.unique(samplers).tolist():
+                    mask = samplers == sampler
+                    self.update_many(
+                        zip(items[mask].tolist(), deltas[mask].tolist()), sampler
+                    )
+            return
+        rows_total = len(self._bases)
+        width = self._levels + 1
+        bins = np.zeros((5, rows_total * width), dtype=np.int64)
+        if samplers is None:
+            for start in range(0, len(items), _BLOCK_PAIRS):
+                block_items = items[None, start : start + _BLOCK_PAIRS]
+                block_deltas = deltas[None, start : start + _BLOCK_PAIRS]
+                rows_per_block = max(1, _BLOCK_PAIRS // block_items.shape[1])
+                for first in range(0, rows_total, rows_per_block):
+                    rows = np.arange(first, min(first + rows_per_block, rows_total))
+                    self._scatter(rows[:, None], block_items, block_deltas, bins)
+        else:
+            repetitions = self._repetitions
+            offsets = np.arange(repetitions)
+            per_block = max(1, _BLOCK_PAIRS // repetitions)
+            for start in range(0, len(items), per_block):
+                block = slice(start, start + per_block)
+                rows = (samplers[block, None] * repetitions + offsets).ravel()
+                self._scatter(
+                    rows,
+                    np.repeat(items[block], repetitions),
+                    np.repeat(deltas[block], repetitions),
+                    bins,
                 )
+        # Level l aggregates every item whose level is >= l.
+        weight, high, low, fp_high, fp_low = np.cumsum(
+            bins.reshape(5, rows_total, width)[:, :, ::-1], axis=2
+        )[:, :, ::-1]
+        fingerprint = mulmod_vec(
+            (fp_high % _PRIME).astype(np.uint64),
+            _TWO_POW_32,
+            (fp_low % _PRIME).astype(np.uint64),
+        )
+        self._accumulate(slice(0, rows_total), weight, high, low, fingerprint)
 
-    def sample(self) -> Optional[int]:
+    def _scatter(self, rows, items, deltas, bins: np.ndarray) -> None:
+        """Add one block's pairs into ``bins[:, (row, level)]``.
+
+        *rows*, *items* and *deltas* broadcast to the block's pairs.
+        The five bin rows are the weight, the weighted-sum limbs
+        (``item >> 32``, ``item & (2^32-1)``) and the fingerprint term's
+        32-bit limbs.
+        """
+        exponents = items.astype(np.uint64)
+        raw = horner_vec(self._coefficients[:, rows], exponents % np.uint64(_PRIME))
+        cells = rows * (self._levels + 1) + hash_levels(raw, self._levels)
+        powers = powmod_rows(self._power_tables(), rows, exponents)
+        signed = mulmod_vec((deltas % _PRIME).astype(np.uint64), powers)
+        cells = cells.ravel()
+        for column, values in zip(bins, (
+            deltas,
+            deltas * (items >> 32),
+            deltas * (items & _LOW_MASK),
+            (signed >> _U32).astype(np.int64),
+            (signed & _MASK32).astype(np.int64),
+        )):
+            np.add.at(column, cells, np.broadcast_to(values, signed.shape).ravel())
+
+    def _power_tables(self) -> np.ndarray:
+        """Per-row window tables for ``z^item``, built on first use."""
+        if self._tables is None:
+            self._tables = power_tables(self._bases, (self._universe - 1).bit_length())
+        return self._tables
+
+    def _accumulate(self, rows: slice, weight, high, low, fingerprint) -> None:
+        """Add per-cell deltas to *rows*, carrying low limbs; refuse past the bound."""
+        low = self._sum_low[rows] + low
+        weight = self._weight[rows] + weight
+        high = self._sum_high[rows] + high + (low >> 32)
+        low &= _LOW_MASK
+        if weight.size and max(np.abs(weight).max(), np.abs(high).max()) > CELL_BOUND:
+            raise SketchError(
+                "ℓ0-sampler cell aggregates would pass the exact int64 limb bound "
+                f"(|weight| and |weighted_sum >> 32| <= 2^61, CELL_BOUND={CELL_BOUND}); "
+                "the update was refused and left every cell unchanged"
+            )
+        self._weight[rows] = weight
+        self._sum_high[rows] = high
+        self._sum_low[rows] = low
+        self._fingerprint[rows] = addmod_vec(self._fingerprint[rows], fingerprint)
+
+    def sample(self, sampler: int = 0) -> Optional[int]:
         """A (near-)uniform member of the support, or ``None`` on failure.
 
         Scans levels from the sparsest (highest) down within each
@@ -204,28 +367,43 @@ class L0Sampler:
         means every repetition failed, which for a correctly sized
         sampler happens with probability ≈ 2^-repetitions.
         """
-        for hash_function, sketch_levels in zip(self._hashes, self._sketches):
-            del hash_function
-            for level in range(self._levels, -1, -1):
-                recovered = sketch_levels[level].recover()
-                if recovered is not None:
-                    return recovered[0]
+        rows = self._rows(sampler)
+        for row in range(rows.start, rows.stop):
+            weights = self._weight[row]
+            base = int(self._bases[row])
+            for level in np.flatnonzero(weights)[::-1].tolist():
+                found = recover(
+                    int(weights[level]),
+                    self._weighted_sum(row, level),
+                    int(self._fingerprint[row, level]),
+                    base,
+                    self._universe,
+                )
+                if found is not None:
+                    return found[0]
         return None
 
-    def is_empty(self) -> bool:
+    def _weighted_sum(self, row: int, level: int) -> int:
+        return (int(self._sum_high[row, level]) << 32) + int(self._sum_low[row, level])
+
+    def is_empty(self, sampler: int = 0) -> bool:
         """Whether all repetitions certify an all-zero vector."""
-        return all(sketch_levels[0].is_empty for sketch_levels in self._sketches)
+        rows = self._rows(sampler)
+        return not any(
+            cells[rows, 0].any()
+            for cells in (self._weight, self._sum_high, self._sum_low, self._fingerprint)
+        )
 
     def merge(self, other: "L0Sampler") -> None:
-        """Fold another sampler's sketch state into this one.
+        """Fold another bank's sketch state into this one.
 
-        Valid only for *replica* samplers: same universe, levels and
-        repetitions, **and** the same frozen randomness (per-repetition
-        hash coefficients and fingerprint bases), i.e. both were built
-        from the same construction seed.  Then every level's one-sparse
+        Valid only for *replica* banks: same universe, levels,
+        repetitions and sampler count, **and** the same frozen
+        randomness (hash coefficients and fingerprint bases), i.e. both
+        were built from the same construction seeds.  Then every cell's
         aggregates add exactly (the sketches are linear over the same
-        level assignment), and the merged sampler is bit-identical to
-        one that ingested both shards' updates itself.  Any config or
+        level assignment), and the merged bank is bit-identical to one
+        that ingested both shards' updates itself.  Any config or
         frozen-randomness mismatch raises
         :class:`~repro.errors.MergeError` naming the field.
         """
@@ -236,35 +414,70 @@ class L0Sampler:
             universe=(self._universe, other._universe),
             levels=(self._levels, other._levels),
             repetitions=(self._repetitions, other._repetitions),
-            bases=(self._bases, other._bases),
+            samplers=(self.samplers, other.samplers),
         )
-        for mine, theirs in zip(self._hashes, other._hashes):
-            mine.merge(theirs)
-        for sketch_levels, other_levels in zip(self._sketches, other._sketches):
-            for sketch, other_sketch in zip(sketch_levels, other_levels):
-                sketch.merge(other_sketch)
+        for field, mine, theirs in (
+            ("bases", self._bases, other._bases),
+            ("coefficients", self._coefficients, other._coefficients),
+        ):
+            if not np.array_equal(mine, theirs):
+                raise MergeError(
+                    f"cannot merge L0Sampler: {field} differ; replica samplers "
+                    "must be built from the same construction seeds"
+                )
+        self._accumulate(
+            slice(0, len(self._bases)),
+            other._weight, other._sum_high, other._sum_low, other._fingerprint,
+        )
 
-    def state_dict(self) -> dict:
-        """Full sampler state: hash coefficients, bases, recovery sketches."""
+    def sampler_state(self, sampler: int = 0) -> dict:
+        """One sampler's full state: hash coefficients, bases, recovery cells.
+
+        Cells are nested per repetition and level, each in the
+        :meth:`~repro.sketch.onesparse.OneSparseRecovery.state_dict`
+        layout — the layout live checkpoints store, so existing
+        checkpoints restore into a bank.
+        """
+        rows = self._rows(sampler)
+        universe = self._universe
+        bases = self._bases[rows].tolist()
+        weights = self._weight[rows].tolist()
+        highs = self._sum_high[rows].tolist()
+        lows = self._sum_low[rows].tolist()
+        fingerprints = self._fingerprint[rows].tolist()
         return {
-            "universe": self._universe,
+            "universe": universe,
             "levels": self._levels,
             "repetitions": self._repetitions,
-            "bases": list(self._bases),
-            "hashes": [h.state_dict() for h in self._hashes],
+            "bases": bases,
+            "hashes": [
+                {"independence": _HASH_INDEPENDENCE, "coefficients": tuple(coefficients)}
+                for coefficients in self._coefficients.T[rows].tolist()
+            ],
             "sketches": [
-                [sketch.state_dict() for sketch in sketch_levels]
-                for sketch_levels in self._sketches
+                [
+                    {
+                        "universe": universe,
+                        "z": base,
+                        "weight": weight,
+                        "weighted_sum": (high << 32) + low,
+                        "fingerprint": fingerprint,
+                    }
+                    for weight, high, low, fingerprint in zip(*cells)
+                ]
+                for base, *cells in zip(bases, weights, highs, lows, fingerprints)
             ],
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a capture into an identically configured sampler.
+    def load_sampler_state(self, sampler: int, state: dict) -> None:
+        """Restore one sampler's capture (see :meth:`sampler_state`).
 
         Restores the *frozen randomness* (hash coefficients, fingerprint
         bases) as well as the linear aggregates, so future updates and
-        queries behave exactly as the captured sampler's would.
+        queries behave exactly as the captured sampler's would.  The
+        whole capture is validated before any cell changes.
         """
+        rows = self._rows(sampler)
         check_state_config(
             "L0Sampler",
             state,
@@ -272,22 +485,92 @@ class L0Sampler:
             levels=self._levels,
             repetitions=self._repetitions,
         )
-        self._bases = [int(b) for b in state_field("L0Sampler", state, "bases")]
+        bases = [int(b) for b in state_field("L0Sampler", state, "bases")]
         hash_states = state_field("L0Sampler", state, "hashes")
         sketch_states = state_field("L0Sampler", state, "sketches")
-        if len(hash_states) != self._repetitions or len(sketch_states) != self._repetitions:
+        repetitions = self._repetitions
+        if {len(bases), len(hash_states), len(sketch_states)} != {repetitions}:
             raise SketchError(
-                f"L0Sampler state carries {len(hash_states)} hash / "
-                f"{len(sketch_states)} sketch repetitions for a sampler with "
-                f"{self._repetitions}"
+                f"L0Sampler state carries {len(bases)} bases / {len(hash_states)} hash / "
+                f"{len(sketch_states)} sketch repetitions for a sampler with {repetitions}"
             )
-        for hash_function, captured in zip(self._hashes, hash_states):
-            hash_function.load_state_dict(captured)
-        for sketch_levels, captured_levels in zip(self._sketches, sketch_states):
-            if len(captured_levels) != len(sketch_levels):
+        coefficients = []
+        for captured in hash_states:
+            check_state_config("PolynomialHash", captured, independence=_HASH_INDEPENDENCE)
+            coefficients.append(
+                [int(c) for c in state_field("PolynomialHash", captured, "coefficients")]
+            )
+        width = self._levels + 1
+        weight: List[int] = []
+        weighted: List[int] = []
+        fingerprint: List[int] = []
+        for base, captured_levels in zip(bases, sketch_states):
+            if len(captured_levels) != width:
                 raise SketchError(
                     f"L0Sampler state carries {len(captured_levels)} levels for "
-                    f"a sampler with {len(sketch_levels)}"
+                    f"a sampler with {width}"
                 )
-            for sketch, captured in zip(sketch_levels, captured_levels):
-                sketch.load_state_dict(captured)
+            for captured in captured_levels:
+                check_state_config("OneSparseRecovery", captured, universe=self._universe)
+                if int(state_field("OneSparseRecovery", captured, "z")) != base:
+                    raise CheckpointError(
+                        "L0Sampler state: every level of a repetition must share "
+                        "that repetition's fingerprint base"
+                    )
+                weight.append(int(state_field("OneSparseRecovery", captured, "weight")))
+                weighted.append(
+                    int(state_field("OneSparseRecovery", captured, "weighted_sum"))
+                )
+                fingerprint.append(
+                    int(state_field("OneSparseRecovery", captured, "fingerprint"))
+                )
+        field_values = bases + fingerprint + [c for row in coefficients for c in row]
+        if not all(0 <= value < _PRIME for value in field_values):
+            raise CheckpointError(
+                "L0Sampler state carries a base, coefficient or fingerprint outside [0, p)"
+            )
+        weight_cells, high, low = (part.reshape(-1, width) for part in _limbs(weight, weighted))
+        self._coefficients[:, rows] = np.array(coefficients, dtype=np.uint64).T
+        self._bases[rows] = bases
+        self._weight[rows] = weight_cells
+        self._sum_high[rows] = high
+        self._sum_low[rows] = low
+        self._fingerprint[rows] = np.array(fingerprint, dtype=np.uint64).reshape(-1, width)
+        self._tables = None
+
+    def state_dict(self) -> dict:
+        """Every sampler's :meth:`sampler_state`, in bank order."""
+        return {"samplers": [self.sampler_state(s) for s in range(self.samplers)]}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` capture into an identically built bank."""
+        captured = state_field("L0Sampler", state, "samplers")
+        if len(captured) != self.samplers:
+            raise CheckpointError(
+                f"L0Sampler state carries {len(captured)} samplers for a bank of "
+                f"{self.samplers}"
+            )
+        for sampler, sampler_state in enumerate(captured):
+            self.load_sampler_state(sampler, sampler_state)
+
+
+def _limbs(weight: Sequence[int], weighted: Sequence[int]):
+    """Exact Python-int cell values as int64 ``(weight, high, low)`` arrays.
+
+    ``weighted = high · 2^32 + low`` with ``low`` in ``[0, 2^32)``;
+    values past :data:`CELL_BOUND` raise
+    :class:`~repro.errors.SketchError`.
+    """
+    high = [value >> 32 for value in weighted]
+    if any(abs(value) > CELL_BOUND for value in weight) or any(
+        abs(value) > CELL_BOUND for value in high
+    ):
+        raise SketchError(
+            "ℓ0-sampler cell aggregates pass the exact int64 limb bound "
+            f"(|weight| and |weighted_sum >> 32| <= 2^61, CELL_BOUND={CELL_BOUND})"
+        )
+    return (
+        np.array(weight, dtype=np.int64),
+        np.array(high, dtype=np.int64),
+        np.array([value & _LOW_MASK for value in weighted], dtype=np.int64),
+    )

@@ -32,6 +32,33 @@ from repro.utils.checkpoint import check_merge_config, check_state_config, state
 from repro.utils.rng import RandomSource, ensure_rng
 
 
+def draw_base(rng: RandomSource = None) -> int:
+    """A random fingerprint base ``z`` in ``[2, p)``."""
+    return 2 + ensure_rng(rng).randrange(MERSENNE_PRIME - 2)
+
+
+def recover(
+    weight: int, weighted_sum: int, fingerprint: int, z: int, universe: int
+) -> Optional[Tuple[int, int]]:
+    """``(item, count)`` if the aggregates certify an exactly-1-sparse vector.
+
+    Returns ``None`` when the vector is empty or verifiably not
+    1-sparse.  A false positive requires a fingerprint collision
+    (probability <= universe/2^61 per query).  Shared by
+    :class:`OneSparseRecovery` and the ℓ0-sampler bank's array cells.
+    """
+    if weight == 0:
+        return None
+    if weighted_sum % weight != 0:
+        return None
+    item = weighted_sum // weight
+    if not 0 <= item < universe:
+        return None
+    if (weight * pow(z, item, MERSENNE_PRIME)) % MERSENNE_PRIME != fingerprint:
+        return None
+    return item, weight
+
+
 class OneSparseRecovery:
     """Detects and recovers exactly-1-sparse signed vectors."""
 
@@ -47,7 +74,7 @@ class OneSparseRecovery:
             raise ValueError(f"universe must be positive, got {universe}")
         self._universe = universe
         if z is None:
-            z = 2 + ensure_rng(rng).randrange(MERSENNE_PRIME - 2)
+            z = draw_base(rng)
         self._z = z
         self._weight = 0
         self._weighted_sum = 0
@@ -60,19 +87,13 @@ class OneSparseRecovery:
 
     def update(self, item: int, delta: int) -> None:
         """Apply ``x[item] += delta``."""
-        self.update_with_power(item, delta, pow(self._z, item, MERSENNE_PRIME))
-
-    def update_with_power(self, item: int, delta: int, z_power: int) -> None:
-        """Like :meth:`update` with ``z^item mod p`` precomputed.
-
-        Callers that fan one update out to many levels sharing the
-        same base ``z`` (the ℓ0-sampler) compute the power once.
-        """
         if not 0 <= item < self._universe:
             raise ValueError(f"item {item} outside universe [0, {self._universe})")
         self._weight += delta
         self._weighted_sum += delta * item
-        self._fingerprint = (self._fingerprint + delta * z_power) % MERSENNE_PRIME
+        self._fingerprint = (
+            self._fingerprint + delta * pow(self._z, item, MERSENNE_PRIME)
+        ) % MERSENNE_PRIME
 
     def update_many(self, updates: Iterable[Tuple[int, int]]) -> None:
         """Apply a batch of ``(item, delta)`` updates.
@@ -149,7 +170,7 @@ class OneSparseRecovery:
 
         By linearity, applying ``(Σ delta, Σ delta·item, Σ delta·z^item
         mod p)`` equals replaying the underlying updates one by one —
-        the contract the ℓ0-sampler's grouped scatter-add relies on.
+        the contract the merge relies on.
         """
         self._weight += weight_delta
         self._weighted_sum += weighted_delta
@@ -211,20 +232,7 @@ class OneSparseRecovery:
         return self._weight == 0 and self._weighted_sum == 0 and self._fingerprint == 0
 
     def recover(self) -> Optional[Tuple[int, int]]:
-        """Return ``(item, count)`` if the vector is exactly 1-sparse.
-
-        Returns ``None`` when the vector is empty or verifiably not
-        1-sparse.  A false positive requires a fingerprint collision
-        (probability <= universe/2^61 per query).
-        """
-        if self._weight == 0:
-            return None
-        if self._weighted_sum % self._weight != 0:
-            return None
-        item = self._weighted_sum // self._weight
-        if not 0 <= item < self._universe:
-            return None
-        expected = (self._weight * pow(self._z, item, MERSENNE_PRIME)) % MERSENNE_PRIME
-        if expected != self._fingerprint:
-            return None
-        return item, self._weight
+        """``(item, count)`` if the vector is exactly 1-sparse (:func:`recover`)."""
+        return recover(
+            self._weight, self._weighted_sum, self._fingerprint, self._z, self._universe
+        )

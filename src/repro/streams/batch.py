@@ -24,6 +24,7 @@ three defining columns.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +64,20 @@ def edge_id(u: int, v: int, n: int) -> int:
     """
     a, b = (u, v) if u < v else (v, u)
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
+
+
+def edge_from_id(identifier: int, n: int) -> Tuple[int, int]:
+    """Inverse of :func:`edge_id`: the pair ``(a, b)``, ``a < b``, in O(1).
+
+    Counted from the end, ids ``k = N - 1 - identifier`` (``N =
+    n(n-1)/2``) fill rows of lengths 1, 2, 3, …, so the rows after
+    ``a`` hold ``T(j) = j(j+1)/2`` ids with ``j = n - 2 - a``, the
+    largest ``j`` with ``T(j) <= k``.  ``T(j) <= k`` iff ``(2j+1)^2 <=
+    8k+1``, so ``j = (isqrt(8k+1) - 1) // 2`` exactly.
+    """
+    remaining = n * (n - 1) // 2 - 1 - identifier
+    a = n - 2 - (math.isqrt(8 * remaining + 1) - 1) // 2
+    return a, identifier - a * (2 * n - a - 1) // 2 + a + 1
 
 
 def sorted_member_mask(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:

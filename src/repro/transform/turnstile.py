@@ -41,6 +41,7 @@ from repro.sketch.l0 import L0Sampler
 from repro.streams.batch import (
     EdgeBatch,
     VertexMembership,
+    edge_from_id,
     edge_id,
     sorted_member_mask,
 )
@@ -56,31 +57,17 @@ from repro.utils.checkpoint import (
 from repro.utils.rng import RandomSource, derive_rng, ensure_rng, seed_fingerprint
 
 
-#: Single home of the dense pair encoding: repro.streams.batch.edge_id
-#: (kept under the historical private name for this module's callers).
-_edge_id = edge_id
-
-
-def _edge_from_id(identifier: int, n: int) -> Tuple[int, int]:
-    """Inverse of :func:`_edge_id`."""
-    a = 0
-    remaining = identifier
-    row = n - 1
-    while remaining >= row:
-        remaining -= row
-        a += 1
-        row -= 1
-    return a, a + 1 + remaining
-
-
 class TurnstilePassState:
     """One in-flight turnstile pass (see :class:`InsertionPassState`).
 
-    The ℓ0-sampler banks are linear sketches, so ingestion iterates
-    sampler-major over each decoded batch (one :meth:`L0Sampler.update_many`
-    call per sampler) — the per-element Python overhead of the historical
-    update-major loop is paid once per batch instead.  No randomness is
-    drawn during ingestion, so answers are bit-identical to the old loop.
+    The pass's ℓ0-samplers live in two banks (:class:`L0Sampler`): one
+    over edge ids for the f1 queries, one over vertices for the f3
+    queries, sampler ``i`` of a bank answering the ``i``-th such query
+    of the batch.  A columnar batch costs at most one
+    :meth:`L0Sampler.update_many_arrays` call per bank: the edge bank
+    takes the whole batch, the neighbor bank takes the batch's
+    ``(sampler, neighbor)`` pairs.  No randomness is drawn during
+    ingestion, so answers do not depend on how the stream is batched.
     """
 
     __slots__ = (
@@ -88,8 +75,10 @@ class TurnstilePassState:
         "_size",
         "_component",
         "_n",
-        "_edge_samplers",
-        "_neighbor_samplers",
+        "_edge_positions",
+        "_edge_bank",
+        "_neighbor_positions",
+        "_neighbor_bank",
         "_samplers_by_vertex",
         "_degree_positions",
         "_adjacency_positions",
@@ -101,6 +90,8 @@ class TurnstilePassState:
         "_degree_members",
         "_degree_accumulator",
         "_sampler_members",
+        "_sampler_starts",
+        "_sampler_order",
         "_pair_ids",
         "_pair_accumulator",
     )
@@ -112,8 +103,10 @@ class TurnstilePassState:
         self._n = n
         edge_universe = max(1, n * (n - 1) // 2)
 
-        edge_samplers: List[Tuple[int, L0Sampler]] = []
-        neighbor_samplers: List[Tuple[int, int, L0Sampler]] = []
+        edge_positions: List[int] = []
+        edge_rngs = []
+        neighbor_positions: List[Tuple[int, int]] = []
+        neighbor_rngs = []
         degree_positions: List[Tuple[int, int]] = []
         adjacency_positions: List[Tuple[int, Tuple[int, int]]] = []
         edge_count_positions: List[int] = []
@@ -123,15 +116,11 @@ class TurnstilePassState:
         for position, query in enumerate(batch):
             kind = type(query)
             if kind is RandomEdgeQuery:
-                child = derive_rng(oracle._rng, f"l0edge-{pass_index}-{position}")
-                edge_samplers.append(
-                    (position, L0Sampler(edge_universe, child, oracle._sampler_repetitions))
-                )
+                edge_positions.append(position)
+                edge_rngs.append(derive_rng(oracle._rng, f"l0edge-{pass_index}-{position}"))
             elif kind is RandomNeighborQuery:
-                child = derive_rng(oracle._rng, f"l0nbr-{pass_index}-{position}")
-                neighbor_samplers.append(
-                    (position, query.vertex, L0Sampler(n, child, oracle._sampler_repetitions))
-                )
+                neighbor_positions.append((position, query.vertex))
+                neighbor_rngs.append(derive_rng(oracle._rng, f"l0nbr-{pass_index}-{position}"))
             elif kind is DegreeQuery:
                 degree_vertices.add(query.vertex)
                 degree_positions.append((position, query.vertex))
@@ -150,11 +139,14 @@ class TurnstilePassState:
             else:
                 raise OracleError(f"unsupported query type {kind.__name__}")
 
-        self._edge_samplers = edge_samplers
-        self._neighbor_samplers = neighbor_samplers
-        self._samplers_by_vertex: Dict[int, List[L0Sampler]] = {}
-        for _, vertex, sampler in neighbor_samplers:
-            self._samplers_by_vertex.setdefault(vertex, []).append(sampler)
+        repetitions = oracle._sampler_repetitions
+        self._edge_positions = edge_positions
+        self._edge_bank = L0Sampler.bank(edge_universe, edge_rngs, repetitions)
+        self._neighbor_positions = neighbor_positions
+        self._neighbor_bank = L0Sampler.bank(n, neighbor_rngs, repetitions)
+        self._samplers_by_vertex: Dict[int, List[int]] = {}
+        for index, (_, vertex) in enumerate(neighbor_positions):
+            self._samplers_by_vertex.setdefault(vertex, []).append(index)
         self._degree_positions = degree_positions
         self._adjacency_positions = adjacency_positions
         self._edge_count_positions = edge_count_positions
@@ -170,13 +162,15 @@ class TurnstilePassState:
         self._degree_members = None
         self._degree_accumulator = None
         self._sampler_members = None
+        self._sampler_starts = None
+        self._sampler_order = None
         self._pair_ids = None
         self._pair_accumulator = None
 
         self._component = f"turnstile-pass-{pass_index}"
         words = (
-            sum(s.space_words for _, s in edge_samplers)
-            + sum(s.space_words for _, _, s in neighbor_samplers)
+            self._edge_bank.space_words
+            + self._neighbor_bank.space_words
             + len(degree_vertices)
             + len(adjacency_pairs)
             + (1 if edge_count_positions else 0)
@@ -209,11 +203,11 @@ class TurnstilePassState:
                 pair_counts[edge] += delta
         self._edge_count = edge_count
 
-        if self._edge_samplers:
+        if self._edge_positions:
             n = self._n
-            pairs = [(_edge_id(u, v, n), delta) for u, v, delta, _ in updates]
-            for _, sampler in self._edge_samplers:
-                sampler.update_many(pairs)
+            self._edge_bank.update_many(
+                [(edge_id(u, v, n), delta) for u, v, delta, _ in updates]
+            )
         samplers_by_vertex = self._samplers_by_vertex
         if samplers_by_vertex:
             # One scan groups the batch by watched endpoint, so S samplers
@@ -227,16 +221,17 @@ class TurnstilePassState:
                     incident.setdefault(v, []).append((u, delta))
             for vertex, pairs in incident.items():
                 for sampler in samplers_by_vertex[vertex]:
-                    sampler.update_many(pairs)
+                    self._neighbor_bank.update_many(pairs, sampler)
 
     def _ingest_columnar(self, batch: EdgeBatch) -> None:
         """Vectorized ingestion of one columnar batch.
 
         Counters become filtered grouped sums into flat accumulators;
-        the ℓ0-sampler banks consume the batch through
-        :meth:`~repro.sketch.l0.L0Sampler.update_many_arrays` — one
-        batched Horner + shared-base power table + grouped scatter-add
-        per sampler repetition instead of per-element Python calls.
+        each ℓ0-sampler bank takes the batch in one
+        :meth:`~repro.sketch.l0.L0Sampler.update_many_arrays` call —
+        the edge bank every edge id, the neighbor bank one ``(sampler,
+        neighbor)`` pair per watched endpoint event and sampler
+        watching that endpoint.
         """
         self._edge_count += int(batch.delta.sum())
         if not self._columnar_ready:
@@ -259,22 +254,19 @@ class TurnstilePassState:
             if sampler_members is not None:
                 mask = sampler_members.mask(endpoint)
                 if mask.any():
-                    hits = np.flatnonzero(mask)
-                    order = hits[np.argsort(endpoint[hits], kind="stable")]
-                    endpoints = endpoint[order]
-                    boundaries = np.flatnonzero(
-                        np.concatenate(([True], endpoints[1:] != endpoints[:-1]))
+                    # Expand each watched event into one pair per sampler
+                    # watching its endpoint (CSR groups by vertex slot).
+                    slots = sampler_members.slots(endpoint[mask])
+                    starts = self._sampler_starts[slots]
+                    counts = self._sampler_starts[slots + 1] - starts
+                    events = np.repeat(np.arange(len(slots)), counts)
+                    ends = np.cumsum(counts)
+                    ranks = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+                    self._neighbor_bank.update_many_arrays(
+                        other[mask][events],
+                        batch.delta[index[mask]][events],
+                        self._sampler_order[starts[events] + ranks],
                     )
-                    stops = np.concatenate((boundaries[1:], [len(endpoints)]))
-                    others = other[order]
-                    deltas = batch.delta[index[order]]
-                    samplers_by_vertex = self._samplers_by_vertex
-                    for start, stop in zip(boundaries.tolist(), stops.tolist()):
-                        vertex = int(endpoints[start])
-                        items = others[start:stop]
-                        item_deltas = deltas[start:stop]
-                        for sampler in samplers_by_vertex[vertex]:
-                            sampler.update_many_arrays(items, item_deltas)
 
         pair_ids = self._pair_ids
         if pair_ids is not None:
@@ -284,11 +276,8 @@ class TurnstilePassState:
                 slots = np.searchsorted(pair_ids, ids[mask])
                 np.add.at(self._pair_accumulator, slots, batch.delta[mask])
 
-        if self._edge_samplers:
-            ids = batch.edge_ids(self._n)
-            deltas = batch.delta
-            for _, sampler in self._edge_samplers:
-                sampler.update_many_arrays(ids, deltas)
+        if self._edge_positions:
+            self._edge_bank.update_many_arrays(batch.edge_ids(self._n), batch.delta)
 
     def _build_columnar_structures(self) -> None:
         """Lazily build the vectorized-path lookup structures.
@@ -306,9 +295,15 @@ class TurnstilePassState:
                 len(self._degree_members), dtype=np.int64
             )
         if self._samplers_by_vertex:
-            self._sampler_members = VertexMembership(self._samplers_by_vertex, n)
+            members = VertexMembership(self._samplers_by_vertex, n)
+            groups = [self._samplers_by_vertex[v] for v in members.vertices.tolist()]
+            self._sampler_members = members
+            self._sampler_starts = np.cumsum([0] + [len(g) for g in groups])
+            self._sampler_order = np.array(
+                [index for group in groups for index in group], dtype=np.int64
+            )
         if self._pair_counts:
-            ids = sorted(_edge_id(a, b, n) for a, b in self._pair_counts)
+            ids = sorted(edge_id(a, b, n) for a, b in self._pair_counts)
             self._pair_ids = np.array(ids, dtype=np.int64)
             self._pair_accumulator = np.zeros(len(ids), dtype=np.int64)
         self._columnar_ready = True
@@ -330,7 +325,7 @@ class TurnstilePassState:
         if self._pair_accumulator is not None and self._pair_accumulator.any():
             n = self._n
             pair_counts = self._pair_counts
-            pair_by_id = {_edge_id(a, b, n): (a, b) for a, b in pair_counts}
+            pair_by_id = {edge_id(a, b, n): (a, b) for a, b in pair_counts}
             for identifier, count in zip(
                 self._pair_ids.tolist(), self._pair_accumulator.tolist()
             ):
@@ -342,7 +337,7 @@ class TurnstilePassState:
         """Fold another shard's pass state into this one, exactly.
 
         Every structure of a turnstile pass is linear in the updates —
-        signed counters add, and the ℓ0-sampler banks merge sketch-wise
+        signed counters add, and the ℓ0-sampler banks merge cell-wise
         (:meth:`~repro.sketch.l0.L0Sampler.merge`) — and **no randomness
         is drawn during ingestion**, so two replica pass states (built
         by identically seeded oracles for the same round's query batch,
@@ -366,13 +361,10 @@ class TurnstilePassState:
             "TurnstilePassState",
             size=(self._size, other._size),
             n=(self._n, other._n),
-            edge_sampler_positions=(
-                [position for position, _ in self._edge_samplers],
-                [position for position, _ in other._edge_samplers],
-            ),
+            edge_sampler_positions=(self._edge_positions, other._edge_positions),
             neighbor_sampler_positions=(
-                [(position, vertex) for position, vertex, _ in self._neighbor_samplers],
-                [(position, vertex) for position, vertex, _ in other._neighbor_samplers],
+                self._neighbor_positions,
+                other._neighbor_positions,
             ),
             degree_vertices=(
                 sorted(self._degree_counts),
@@ -394,21 +386,16 @@ class TurnstilePassState:
             self._degree_counts[vertex] += count
         for pair, count in other._pair_counts.items():
             self._pair_counts[pair] += count
-        for (_, sampler), (_, other_sampler) in zip(
-            self._edge_samplers, other._edge_samplers
-        ):
-            sampler.merge(other_sampler)
-        for (_, _, sampler), (_, _, other_sampler) in zip(
-            self._neighbor_samplers, other._neighbor_samplers
-        ):
-            sampler.merge(other_sampler)
+        self._edge_bank.merge(other._edge_bank)
+        self._neighbor_bank.merge(other._neighbor_bank)
 
     def state_dict(self) -> dict:
         """Mutable runtime state of the in-flight pass.
 
-        Sampler entries are stored in construction order; the sketch
-        internals (hash coefficients, fingerprint bases, aggregates)
-        ride along in each :meth:`~repro.sketch.l0.L0Sampler.state_dict`.
+        Sampler entries are stored in construction order, one
+        :meth:`~repro.sketch.l0.L0Sampler.sampler_state` each (hash
+        coefficients, fingerprint bases, per-level aggregates) — the
+        per-sampler layout checkpoints have always used.
         """
         self._fold_columnar_state()
         return {
@@ -418,9 +405,12 @@ class TurnstilePassState:
             "pair_counts": sorted(
                 (pair, count) for pair, count in self._pair_counts.items()
             ),
-            "edge_samplers": [s.state_dict() for _, s in self._edge_samplers],
+            "edge_samplers": [
+                self._edge_bank.sampler_state(s) for s in range(self._edge_bank.samplers)
+            ],
             "neighbor_samplers": [
-                s.state_dict() for _, _, s in self._neighbor_samplers
+                self._neighbor_bank.sampler_state(s)
+                for s in range(self._neighbor_bank.samplers)
             ],
         }
 
@@ -435,13 +425,14 @@ class TurnstilePassState:
             )
         edge_states = state_field("TurnstilePassState", state, "edge_samplers")
         neighbor_states = state_field("TurnstilePassState", state, "neighbor_samplers")
-        if len(edge_states) != len(self._edge_samplers) or len(neighbor_states) != len(
-            self._neighbor_samplers
+        edge_bank, neighbor_bank = self._edge_bank, self._neighbor_bank
+        if len(edge_states) != edge_bank.samplers or len(neighbor_states) != (
+            neighbor_bank.samplers
         ):
             raise CheckpointError(
                 f"TurnstilePassState state carries {len(edge_states)} edge / "
                 f"{len(neighbor_states)} neighbor samplers; this pass has "
-                f"{len(self._edge_samplers)} / {len(self._neighbor_samplers)}"
+                f"{edge_bank.samplers} / {neighbor_bank.samplers}"
             )
         self._fold_columnar_state()
         self._edge_count = int(state_field("TurnstilePassState", state, "edge_count"))
@@ -452,23 +443,23 @@ class TurnstilePassState:
             tuple(pair): int(count)
             for pair, count in state_field("TurnstilePassState", state, "pair_counts")
         }
-        for (_, sampler), captured in zip(self._edge_samplers, edge_states):
-            sampler.load_state_dict(captured)
-        for (_, _, sampler), captured in zip(self._neighbor_samplers, neighbor_states):
-            sampler.load_state_dict(captured)
+        for sampler, captured in enumerate(edge_states):
+            edge_bank.load_sampler_state(sampler, captured)
+        for sampler, captured in enumerate(neighbor_states):
+            neighbor_bank.load_sampler_state(sampler, captured)
 
     def finish(self) -> List[Any]:
         """Collect the batch's answers and release the pass's space."""
         self._fold_columnar_state()
         n = self._n
         answers: List[Any] = [None] * self._size
-        for position, sampler in self._edge_samplers:
-            identifier = sampler.sample()
+        for sampler, position in enumerate(self._edge_positions):
+            identifier = self._edge_bank.sample(sampler)
             answers[position] = (
-                None if identifier is None else _edge_from_id(identifier, n)
+                None if identifier is None else edge_from_id(identifier, n)
             )
-        for position, _, sampler in self._neighbor_samplers:
-            answers[position] = sampler.sample()
+        for sampler, (position, _) in enumerate(self._neighbor_positions):
+            answers[position] = self._neighbor_bank.sample(sampler)
         degree_counts = self._degree_counts
         for position, vertex in self._degree_positions:
             answers[position] = degree_counts[vertex]

@@ -539,6 +539,42 @@ class TestCheckpointFormat:
             used.load_state_dict(state)
 
 
+#: A v2 checkpoint written by the one-object-per-sampler ℓ0 code: a
+#: turnstile FGP estimator (gnp(14, 0.8, rng=3), churn 8 edges with
+#: rng=4, triangle, trials=8, rng=9) snapshotted after 41 of 82 updates,
+#: mid pass 1 with 16 live edge samplers.
+GOLDEN_TURNSTILE_CHECKPOINT = os.path.join(
+    os.path.dirname(__file__), "data", "turnstile_live_mid_pass1.ckpt"
+)
+
+
+class TestGoldenCheckpointBackCompat:
+    def test_pre_bank_checkpoint_restores_and_continues_bit_identically(self):
+        graph = generators.gnp(14, 0.8, rng=3)
+        stream = turnstile_churn_stream(graph, churn_edges=8, rng=4)
+        u, v, d = stream.columns()
+        cut = 41
+        spec = EstimatorSpec(
+            name="fgp-t",
+            factory=fgp_turnstile_estimator,
+            kwargs=dict(pattern=patterns.triangle(), trials=8, rng=9, name="fgp-t"),
+        )
+        reference = LiveEngine(n=stream.n, allow_deletions=True)
+        reference.register_spec(spec)
+        reference.feed((u, v, d))
+        expected = reference.estimate()["fgp-t"]
+        reference.close()
+
+        restored = LiveEngine.restore(GOLDEN_TURNSTILE_CHECKPOINT)
+        assert restored.elements == cut
+        restored.feed((u[cut:], v[cut:], d[cut:]))
+        result = restored.estimate()["fgp-t"]
+        restored.close()
+        _assert_same_result(result, expected)
+        # The estimate the writing code produced for this run.
+        assert result.estimate == 568.7117020072649
+
+
 class TestEmptyFeed:
     """A zero-length chunk is a validated no-op on every backend.
 

@@ -4,12 +4,13 @@ import random
 from collections import Counter
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.errors import SketchError
 from repro.sketch.hashing import MERSENNE_PRIME, PolynomialHash
-from repro.sketch.l0 import L0Sampler
+from repro.sketch.l0 import CELL_BOUND, L0Sampler
 from repro.sketch.onesparse import OneSparseRecovery
 from repro.sketch.reservoir import (
     ReservoirSampler,
@@ -170,6 +171,139 @@ class TestL0Sampler:
         sampler = L0Sampler(10, rng=1)
         with pytest.raises(SketchError):
             sampler.update(10, 1)
+
+
+def _bank_and_singles(universe, count, repetitions=3, seed=40):
+    """A bank of *count* samplers and the same samplers built alone."""
+    seeds = [seed + s for s in range(count)]
+    bank = L0Sampler.bank(universe, seeds, repetitions)
+    return bank, [L0Sampler(universe, s, repetitions) for s in seeds]
+
+
+def _feed_arrays(bank, rows, splits, routed=False):
+    """Feed ``(item, delta[, sampler])`` rows through update_many_arrays in *splits*."""
+    columns = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    cursor = 0
+    for size in splits + [len(rows)]:
+        part = columns[cursor : cursor + size]
+        cursor += len(part)
+        bank.update_many_arrays(part[:, 0], part[:, 1], part[:, 2] if routed else None)
+
+
+class TestL0SamplerBank:
+    """A bank equals its samplers built alone and fed the scalar path."""
+
+    SPLITS = [[], [1, 0, 57], [13] * 9]
+
+    @pytest.mark.parametrize("splits", SPLITS)
+    def test_shared_items_match_single_samplers(self, splits):
+        rng = random.Random(len(splits))
+        universe = 3000
+        updates = []
+        for _ in range(150):
+            item = rng.randrange(universe)
+            updates.append((item, rng.choice([1, -1, 3])))
+            if rng.random() < 0.3:  # duplicates and deletions in one batch
+                updates.append((item, -1))
+        bank, singles = _bank_and_singles(universe, 5)
+        _feed_arrays(bank, updates, splits)
+        for single in singles:
+            single.update_many(updates)
+        assert bank.state_dict()["samplers"] == [s.sampler_state() for s in singles]
+        assert [bank.sample(i) for i in range(5)] == [s.sample() for s in singles]
+
+    @pytest.mark.parametrize("splits", SPLITS)
+    def test_routed_pairs_match_single_samplers(self, splits):
+        rng = random.Random(7 + len(splits))
+        universe = 64
+        routed = [
+            (rng.randrange(universe), rng.choice([1, -1]), rng.randrange(4))
+            for _ in range(160)
+        ]
+        routed += [(item, -delta, sampler) for item, delta, sampler in routed[:40]]
+        bank, singles = _bank_and_singles(universe, 4)
+        _feed_arrays(bank, routed, splits, routed=True)
+        for index, single in enumerate(singles):
+            single.update_many([(i, d) for i, d, s in routed if s == index])
+        assert bank.state_dict()["samplers"] == [s.sampler_state() for s in singles]
+        assert [bank.is_empty(i) for i in range(4)] == [s.is_empty() for s in singles]
+
+    @pytest.mark.parametrize("n", [10**5, 2**32])
+    def test_edge_ids_above_2_32(self, n):
+        from repro.streams.batch import edge_id
+
+        universe = n * (n - 1) // 2
+        rng = random.Random(n % 1009)
+        ids = [edge_id(0, 1, n), edge_id(n - 2, n - 1, n), edge_id(1, n - 1, n)]
+        ids += [rng.randrange(universe) for _ in range(40)]
+        updates = [(item, rng.choice([1, -1])) for item in ids]
+        assert max(ids) >= 1 << 32 or n < 2**32
+        bank, singles = _bank_and_singles(universe, 3, repetitions=2)
+        _feed_arrays(bank, updates, [7])
+        for single in singles:
+            single.update_many(updates)
+        assert bank.state_dict()["samplers"] == [s.sampler_state() for s in singles]
+
+    def test_two_shard_merge_equals_one_bank(self):
+        rng = random.Random(5)
+        updates = [(rng.randrange(800), rng.choice([1, -1])) for _ in range(120)]
+        whole, _ = _bank_and_singles(800, 3)
+        left, _ = _bank_and_singles(800, 3)
+        right, _ = _bank_and_singles(800, 3)
+        _feed_arrays(whole, updates, [])
+        _feed_arrays(left, updates[:50], [])
+        _feed_arrays(right, updates[50:], [])
+        left.merge(right)
+        assert left.state_dict() == whole.state_dict()
+
+    def test_state_dict_round_trip_continues_identically(self):
+        rng = random.Random(9)
+        updates = [(rng.randrange(500), rng.choice([1, -1])) for _ in range(80)]
+        original, _ = _bank_and_singles(500, 3)
+        _feed_arrays(original, updates[:40], [])
+        # A bank built from other seeds adopts the captured frozen randomness.
+        restored, _ = _bank_and_singles(500, 3, seed=99)
+        restored.load_state_dict(original.state_dict())
+        assert restored.state_dict() == original.state_dict()
+        _feed_arrays(original, updates[40:], [])
+        _feed_arrays(restored, updates[40:], [])
+        assert restored.state_dict() == original.state_dict()
+        assert [restored.sample(i) for i in range(3)] == [original.sample(i) for i in range(3)]
+
+    def test_limb_bound_raises_typed_error_and_leaves_cells(self):
+        universe = 1 << 62
+        top = universe - 1
+        bank = L0Sampler(universe, rng=3, repetitions=2)
+        state = bank.sampler_state()
+        for levels in state["sketches"]:
+            for cell in levels:  # high limb exactly at the bound: still legal
+                cell["weighted_sum"] = CELL_BOUND << 32
+        bank.load_sampler_state(0, state)
+        before = bank.state_dict()
+        with pytest.raises(SketchError, match="limb bound"):
+            bank.update_many_arrays(np.array([top]), np.array([1]))
+        with pytest.raises(SketchError, match="limb bound"):
+            bank.update(top, 1)
+        assert bank.state_dict() == before
+        with pytest.raises(SketchError, match="limb bound"):
+            L0Sampler(universe, rng=3).update(5, CELL_BOUND + 1)
+        state["sketches"][0][0]["weighted_sum"] = (CELL_BOUND + 1) << 32
+        with pytest.raises(SketchError, match="limb bound"):
+            bank.load_sampler_state(0, state)
+
+    def test_sampler_index_routing_and_field_values_are_validated(self):
+        from repro.errors import CheckpointError
+
+        bank, _ = _bank_and_singles(100, 2)
+        state = bank.sampler_state(1)
+        state["sketches"][0][2]["fingerprint"] = MERSENNE_PRIME
+        with pytest.raises(CheckpointError, match="outside"):
+            bank.load_sampler_state(1, state)
+        with pytest.raises(SketchError):
+            bank.sample(2)
+        with pytest.raises(SketchError):
+            bank.update_many_arrays(np.array([1]), np.array([1]), np.array([2]))
+        assert bank.space_words == 2 * L0Sampler(100, rng=1, repetitions=3).space_words
 
 
 class TestReservoirs:

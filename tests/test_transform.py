@@ -19,12 +19,12 @@ from repro.oracle.base import (
     RandomEdgeQuery,
     RandomNeighborQuery,
 )
+from repro.streams.batch import edge_from_id, edge_id
 from repro.streams.generators import turnstile_churn_stream
 from repro.streams.stream import EdgeStream, Update, insertion_stream
 from repro.transform.driver import parallel_rounds, run_round_adaptive
 from repro.transform.insertion import InsertionStreamOracle
 from repro.transform.turnstile import TurnstileStreamOracle
-from repro.transform.turnstile import _edge_from_id, _edge_id
 
 
 @pytest.fixture
@@ -100,10 +100,19 @@ class TestTurnstileEmulation:
         seen = set()
         for u in range(n):
             for v in range(u + 1, n):
-                identifier = _edge_id(u, v, n)
-                assert _edge_from_id(identifier, n) == (u, v)
+                identifier = edge_id(u, v, n)
+                assert edge_from_id(identifier, n) == (u, v)
                 seen.add(identifier)
         assert seen == set(range(n * (n - 1) // 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 48, 10**5, 2**32])
+    def test_edge_from_id_closed_form_at_row_boundaries(self, n):
+        # First and last id of the first, second, middle and last rows.
+        for a in sorted({a for a in (0, 1, n // 2, n - 2) if a < n - 1}):
+            for b in (a + 1, n - 1):
+                assert edge_from_id(edge_id(a, b, n), n) == (a, b)
+        assert edge_from_id(0, n) == (0, 1)
+        assert edge_from_id(n * (n - 1) // 2 - 1, n) == (n - 2, n - 1)
 
     def test_exact_queries_respect_deletions(self, graph):
         stream = turnstile_churn_stream(graph, 20, rng=10)

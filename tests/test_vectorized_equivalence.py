@@ -34,7 +34,10 @@ from repro.oracle.base import (
 from repro.sketch.hashing import (
     MERSENNE_PRIME,
     PolynomialHash,
+    horner_vec,
     mulmod_vec,
+    power_tables,
+    powmod_rows,
     powmod_vec,
     split_sum,
 )
@@ -74,6 +77,36 @@ class TestFieldKernels:
         out = powmod_vec(base, exponents)
         for i, e in enumerate(exponents.tolist()):
             assert int(out[i]) == pow(base, e, MERSENNE_PRIME)
+
+    @pytest.mark.parametrize("bits", [1, 6, 11, 39, 63])
+    def test_powmod_rows_matches_builtin_pow(self, bits):
+        rng = random.Random(bits)
+        bases = [1, 2, MERSENNE_PRIME - 1] + [rng.randrange(MERSENNE_PRIME) for _ in range(4)]
+        exponents = [0, 1, (1 << bits) - 1] + [rng.randrange(1 << bits) for _ in range(60)]
+        tables = power_tables(np.array(bases, dtype=np.uint64), bits)
+        block = powmod_rows(
+            tables, np.arange(len(bases))[:, None], np.array(exponents, dtype=np.uint64)[None, :]
+        )
+        for row, base in enumerate(bases):
+            assert block[row].tolist() == [pow(base, e, MERSENNE_PRIME) for e in exponents]
+        rows = np.repeat(np.arange(len(bases)), len(exponents))
+        flat = powmod_rows(tables, rows, np.tile(np.array(exponents, dtype=np.uint64), len(bases)))
+        assert flat.tolist() == block.ravel().tolist()
+
+    def test_mulmod_addend_and_row_horner_match_python_ints(self):
+        rng = random.Random(13)
+        p = MERSENNE_PRIME
+        values = [0, 1, p - 1, (1 << 32) - 1] + [rng.randrange(p) for _ in range(200)]
+        a, b, c = (np.array(rng.sample(values, len(values)), dtype=np.uint64) for _ in range(3))
+        assert mulmod_vec(a, b, c).tolist() == [
+            (int(x) * int(y) + int(z)) % p for x, y, z in zip(a, b, c)
+        ]
+        hashes = [PolynomialHash(8, rng=seed) for seed in range(5)]
+        coefficients = np.array([h.coefficients for h in hashes], dtype=np.uint64).T
+        items = [rng.randrange(1 << 62) for _ in range(50)]
+        x = np.array(items, dtype=np.uint64) % np.uint64(p)
+        block = horner_vec(coefficients[:, :, None], x[None, :])
+        assert block.tolist() == [[h.value(i) for i in items] for h in hashes]
 
     def test_split_sum_is_exact_beyond_uint64(self):
         # Nine 61-bit terms overflow a raw uint64 sum; split_sum must not.
@@ -174,11 +207,8 @@ class TestBatchedSketches:
                 np.array([i for i, _ in tail], dtype=np.int64),
                 np.array([d for _, d in tail], dtype=np.int64),
             )
-        for s_levels, v_levels in zip(scalar._sketches, vector._sketches):
-            for s, v in zip(s_levels, v_levels):
-                assert s._weight == v._weight
-                assert s._weighted_sum == v._weighted_sum
-                assert s._fingerprint == v._fingerprint
+        # Every level's weight, weighted sum and fingerprint, per repetition.
+        assert scalar.state_dict() == vector.state_dict()
         assert scalar.sample() == vector.sample()
 
     def test_l0_update_many_arrays_validates_universe(self):
@@ -415,11 +445,11 @@ class TestEdgeBatch:
         assert list(clone) == list(batch)
 
     def test_edge_ids_match_turnstile_encoding(self):
-        from repro.transform.turnstile import _edge_id
+        from repro.transform.turnstile import edge_id
 
         batch = EdgeBatch.from_updates([Update(4, 1), Update(0, 5), Update(2, 3)])
         ids = batch.edge_ids(6).tolist()
-        assert ids == [_edge_id(u, v, 6) for u, v, _, _ in batch]
+        assert ids == [edge_id(u, v, 6) for u, v, _, _ in batch]
 
     def test_events_interleave_in_stream_order(self):
         batch = EdgeBatch.from_updates([Update(1, 2), Update(3, 0)])
