@@ -166,20 +166,14 @@ def test_throughput_fused_vs_sequential(benchmark, capsys):
 
 
 def test_throughput_columnar_pipeline(benchmark, capsys):
-    """The columnar EdgeBatch pipeline vs the scalar tuple pipeline.
+    """The columnar EdgeBatch pipeline at K=32, mirror and shared mode.
 
-    The PR-3 acceptance gate: K=32 median-of-K insertion-only counting
-    on a ~300k-element stream, serial backend, measured with the
-    columnar pipeline on and off (``columnar=False`` is the scalar
-    tuple dispatch the engine shipped through PR 2).  ``edges/s``
-    counts ensemble-observed elements (K × 3m) per wall-clock second,
-    so the ratio of the two rows of one mode IS the wall-clock
-    speedup.  Mirror mode is the honest apples-to-apples comparison —
-    both pipelines produce bit-identical estimates there (asserted
-    below) — and must come out ≥ 3×; measured on the PR-2 tree itself
-    the same workload ran ~2× slower than this file's scalar rows, so
-    the recorded speedup understates the cross-PR gain.  Results land
-    in ``benchmarks/results/throughput_columnar.json``.
+    K=32 median-of-K insertion-only counting on a ~300k-element
+    stream, serial backend.  ``edges/s`` counts ensemble-observed
+    elements (K × 3m) per wall-clock second.  The scalar tuple pipeline
+    these rows were once compared against is gone; its semantics live
+    on as the test-only reference of ``tests/reference.py``.  Results
+    land in ``benchmarks/results/throughput_columnar.json``.
     """
     graph = gen.barabasi_albert(60_000, 5, rng=11)
     copies, trials = 32, 100
@@ -187,56 +181,34 @@ def test_throughput_columnar_pipeline(benchmark, capsys):
     ensemble_elements = copies * 3 * graph.m
 
     table = Table(
-        f"Columnar vs scalar pipeline (K={copies}, trials/copy={trials}, "
-        f"m={graph.m})",
-        ["mode", "pipeline", "seconds", "elements/s", "speedup", "estimate"],
+        f"Columnar pipeline (K={copies}, trials/copy={trials}, m={graph.m})",
+        ["mode", "pipeline", "seconds", "elements/s", "estimate"],
     )
     rows = []
-    seconds = {}
-    estimates = {}
     for mode in (FusionMode.MIRROR, FusionMode.SHARED):
-        for columnar in (False, True):
-            stream = insertion_stream(graph, rng=12)
-            start = time.perf_counter()
-            fused = count_subgraphs_insertion_only_fused(
-                stream,
-                pattern,
-                copies=copies,
-                trials=trials,
-                rng=13,
-                mode=mode,
-                columnar=columnar,
-            )
-            elapsed = time.perf_counter() - start
-            assert fused.passes == 3
-            seconds[(mode, columnar)] = elapsed
-            estimates[(mode, columnar)] = fused.estimates
-            pipeline = "columnar" if columnar else "scalar"
-            speedup = seconds[(mode, False)] / elapsed
-            table.add_row(
-                mode, pipeline, elapsed, ensemble_elements / elapsed, speedup,
-                fused.estimate,
-            )
-            rows.append(
-                {
-                    "mode": mode,
-                    "pipeline": pipeline,
-                    "seconds": elapsed,
-                    "edges_per_sec": ensemble_elements / elapsed,
-                    "speedup_vs_scalar": speedup,
-                    "estimate": fused.estimate,
-                }
-            )
+        stream = insertion_stream(graph, rng=12)
+        start = time.perf_counter()
+        fused = count_subgraphs_insertion_only_fused(
+            stream,
+            pattern,
+            copies=copies,
+            trials=trials,
+            rng=13,
+            mode=mode,
+        )
+        elapsed = time.perf_counter() - start
+        assert fused.passes == 3
+        table.add_row(mode, "columnar", elapsed, ensemble_elements / elapsed, fused.estimate)
+        rows.append(
+            {
+                "mode": mode,
+                "pipeline": "columnar",
+                "seconds": elapsed,
+                "edges_per_sec": ensemble_elements / elapsed,
+                "estimate": fused.estimate,
+            }
+        )
 
-    # Mirror mode: the columnar pipeline must change nothing but the clock.
-    assert estimates[(FusionMode.MIRROR, True)] == estimates[(FusionMode.MIRROR, False)]
-
-    mirror_speedup = (
-        seconds[(FusionMode.MIRROR, False)] / seconds[(FusionMode.MIRROR, True)]
-    )
-    shared_speedup = (
-        seconds[(FusionMode.SHARED, False)] / seconds[(FusionMode.SHARED, True)]
-    )
     emit_table(table, "throughput_columnar", capsys, json_twin=False)
     emit_json(
         "throughput_columnar",
@@ -250,14 +222,6 @@ def test_throughput_columnar_pipeline(benchmark, capsys):
             "ensemble_elements": ensemble_elements,
         },
         rows=rows,
-        extra={
-            "mirror_speedup": mirror_speedup,
-            "shared_speedup": shared_speedup,
-        },
-    )
-    assert mirror_speedup >= 3.0, (
-        f"columnar pipeline at K=32 (mirror) must be >= 3x the scalar "
-        f"pipeline, got {mirror_speedup:.2f}x"
     )
 
     def run_columnar_mirror():

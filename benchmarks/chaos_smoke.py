@@ -38,7 +38,7 @@ from repro.engine import EstimatorSpec, LiveEngine  # noqa: E402
 from repro.engine.parallel import (  # noqa: E402
     build_triest,
     leaked_shm_segments,
-    run_process_engine,
+    run_parallel_engine,
 )
 from repro.faults import FaultPlan, activate, truncate_file  # noqa: E402
 from repro.graph import generators as gen  # noqa: E402
@@ -123,8 +123,8 @@ def drill_kill_then_degrade(stream, reference):
 def drill_sigkill_process_pool(stream):
     baseline = set(leaked_shm_segments())
     plan = FaultPlan(seed=SEED).kill_worker(0, nth_batch=2)
-    report = run_process_engine(
-        stream, _specs(copies=2), workers=2, batch_size=64,
+    report = run_parallel_engine(
+        stream, _specs(copies=2), backend="process", workers=2, batch_size=64,
         on_worker_loss="degrade", fault_plan=plan,
     )
     check("process pool degrades after a real SIGKILL",

@@ -2,8 +2,10 @@
 """CI perf-smoke: a tiny throughput run that validates the JSON contract.
 
 Runs a miniature version of the K-copy insertion-only throughput
-benchmark on both pipelines (scalar and columnar), checks the
-mirror-mode bit-equality invariant, then replays the same stream from
+benchmark on a triangle-dense ``power_law_cluster`` graph whose median
+estimate is nonzero (asserted), checks every copy's estimate
+bit for bit against the per-element reference of ``tests/reference.py``,
+then replays the same stream from
 a disk-backed (tmpfile) binary through the fused engine under an LRU
 batch cache — asserting the out-of-core estimates equal the in-memory
 ones bit for bit and the cache stayed under its byte budget.  Both
@@ -12,9 +14,9 @@ use, and the emitted documents (including the new ``ingest_smoke``
 ingestion table) are re-read and validated against the shared schema
 (``benchmarks/conftest.JSON_SCHEMA_KEYS``).
 
-It fails on *errors* — a broken pipeline, a bit-equality violation, a
-budget overrun, a malformed document — never on timings, so it stays
-flake-free on shared CI runners.
+It fails on *errors* — a broken pipeline, a vacuous (zero) estimate,
+a bit-equality violation, a budget overrun, a malformed document —
+never on timings, so it stays flake-free on shared CI runners.
 
 Run: ``PYTHONPATH=src python benchmarks/perf_smoke.py``
 """
@@ -33,8 +35,12 @@ if _HERE not in sys.path:
 _SRC = os.path.join(os.path.dirname(_HERE), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+_TESTS = os.path.join(os.path.dirname(_HERE), "tests")
+if _TESTS not in sys.path:
+    sys.path.insert(0, _TESTS)
 
 from conftest import emit_json, validate_benchmark_json  # noqa: E402
+from reference import reference_fgp_run  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -45,7 +51,11 @@ from repro.streams.datasets import DiskEdgeStream, write_binary_updates  # noqa:
 from repro.streams.stream import insertion_stream  # noqa: E402
 
 
-def disk_ingestion_smoke(graph, pattern, copies, trials, reference) -> int:
+#: One seed per mirror copy, shared by the in-memory, reference and disk legs.
+COPY_SEEDS = [13, 14, 15, 16]
+
+
+def disk_ingestion_smoke(graph, pattern, trials, reference) -> int:
     """Disk-backed leg: a tmpfile stream through the fused engine.
 
     Writes the same shuffled update sequence the in-memory run used to
@@ -63,9 +73,9 @@ def disk_ingestion_smoke(graph, pattern, copies, trials, reference) -> int:
         fused = count_subgraphs_insertion_only_fused(
             stream,
             pattern,
-            copies=copies,
+            copies=len(COPY_SEEDS),
             trials=trials,
-            rng=13,
+            copy_rngs=COPY_SEEDS,
             mode=FusionMode.MIRROR,
             batch_size=512,
         )
@@ -85,7 +95,7 @@ def disk_ingestion_smoke(graph, pattern, copies, trials, reference) -> int:
             params={
                 "n": graph.n,
                 "m": graph.m,
-                "copies": copies,
+                "copies": len(COPY_SEEDS),
                 "trials_per_copy": trials,
                 "pattern": pattern.name,
                 "mode": "mirror",
@@ -96,7 +106,7 @@ def disk_ingestion_smoke(graph, pattern, copies, trials, reference) -> int:
                 {
                     "source": "disk",
                     "seconds": elapsed,
-                    "edges_per_sec": copies * 3 * graph.m / elapsed,
+                    "edges_per_sec": len(COPY_SEEDS) * 3 * graph.m / elapsed,
                     "estimate": fused.estimate,
                     "cache_peak_bytes": policy.peak_resident_bytes,
                     "cache_hits": policy.hits,
@@ -119,49 +129,53 @@ def disk_ingestion_smoke(graph, pattern, copies, trials, reference) -> int:
 
 
 def main() -> int:
-    graph = gen.barabasi_albert(1500, 4, rng=11)
-    copies, trials = 4, 20
+    graph = gen.power_law_cluster(300, 5, 0.8, 11)
+    trials = 40
     pattern = zoo.triangle()
-    ensemble_elements = copies * 3 * graph.m
+    ensemble_elements = len(COPY_SEEDS) * 3 * graph.m
 
-    rows = []
-    estimates = {}
-    for columnar in (False, True):
-        stream = insertion_stream(graph, rng=12)
-        start = time.perf_counter()
-        fused = count_subgraphs_insertion_only_fused(
-            stream,
-            pattern,
-            copies=copies,
-            trials=trials,
-            rng=13,
-            mode=FusionMode.MIRROR,
-            columnar=columnar,
-        )
-        elapsed = time.perf_counter() - start
-        if fused.passes != 3:
-            print(f"perf-smoke: expected 3 fused passes, got {fused.passes}")
-            return 1
-        estimates[columnar] = fused.estimates
-        rows.append(
-            {
-                "pipeline": "columnar" if columnar else "scalar",
-                "seconds": elapsed,
-                "edges_per_sec": ensemble_elements / elapsed,
-                "estimate": fused.estimate,
-            }
-        )
-
-    if estimates[False] != estimates[True]:
-        print("perf-smoke: mirror-mode bit-equality violated between pipelines")
+    stream = insertion_stream(graph, rng=12)
+    start = time.perf_counter()
+    fused = count_subgraphs_insertion_only_fused(
+        stream,
+        pattern,
+        copies=len(COPY_SEEDS),
+        trials=trials,
+        copy_rngs=COPY_SEEDS,
+        mode=FusionMode.MIRROR,
+    )
+    elapsed = time.perf_counter() - start
+    if fused.passes != 3:
+        print(f"perf-smoke: expected 3 fused passes, got {fused.passes}")
+        return 1
+    if not fused.estimate > 0:
+        print("perf-smoke: vacuous workload, the median estimate is 0.0")
         return 1
 
+    reference = [
+        reference_fgp_run(stream, pattern, trials, seed)[0] for seed in COPY_SEEDS
+    ]
+    if fused.estimates != reference:
+        print(
+            f"perf-smoke: estimates {fused.estimates} diverge from the "
+            f"per-element reference {reference}"
+        )
+        return 1
+
+    rows = [
+        {
+            "pipeline": "columnar",
+            "seconds": elapsed,
+            "edges_per_sec": ensemble_elements / elapsed,
+            "estimate": fused.estimate,
+        }
+    ]
     path = emit_json(
         "perf_smoke",
         params={
             "n": graph.n,
             "m": graph.m,
-            "copies": copies,
+            "copies": len(COPY_SEEDS),
             "trials_per_copy": trials,
             "pattern": pattern.name,
             "mode": "mirror",
@@ -177,10 +191,10 @@ def main() -> int:
         print(f"perf-smoke: emitted JSON failed schema validation: {error}")
         return 1
     print(
-        f"perf-smoke: ok (m={graph.m}, scalar {rows[0]['edges_per_sec']:,.0f} e/s, "
-        f"columnar {rows[1]['edges_per_sec']:,.0f} e/s) -> {path}"
+        f"perf-smoke: ok (m={graph.m}, estimate {fused.estimate:.1f}, "
+        f"{rows[0]['edges_per_sec']:,.0f} e/s, equal to the reference) -> {path}"
     )
-    return disk_ingestion_smoke(graph, pattern, copies, trials, estimates[True])
+    return disk_ingestion_smoke(graph, pattern, trials, fused.estimates)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from repro.estimate.result import EstimateResult
 from repro.exact.subgraphs import count_subgraphs
 from repro.graph.graph import Graph
 from repro.patterns.pattern import Pattern, triangle
-from repro.streams.stream import EdgeStream, pass_batches
+from repro.streams.stream import EdgeStream
 from repro.utils.checkpoint import (
     check_state_config,
     rng_state,
@@ -152,7 +152,7 @@ def doulion_count(
     stream.reset_pass_count()
     estimator = DoulionEstimator(stream.n, keep_probability, pattern, rng)
     estimator.begin_pass(0)
-    for chunk in pass_batches(stream, columnar=False):
+    for chunk in stream.batches():
         estimator.ingest_batch(chunk)
     estimator.end_pass()
     result = estimator.result()

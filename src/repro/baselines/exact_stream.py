@@ -18,7 +18,7 @@ from repro.estimate.result import EstimateResult
 from repro.exact.subgraphs import count_subgraphs
 from repro.graph.graph import Graph
 from repro.patterns.pattern import Pattern
-from repro.streams.stream import EdgeStream, pass_batches
+from repro.streams.stream import EdgeStream
 from repro.utils.checkpoint import check_state_config, state_field
 
 
@@ -95,7 +95,7 @@ def exact_stream_count(stream: EdgeStream, pattern: Pattern) -> EstimateResult:
     stream.reset_pass_count()
     estimator = ExactStreamEstimator(stream.n, pattern)
     estimator.begin_pass(0)
-    for chunk in pass_batches(stream, columnar=False):
+    for chunk in stream.batches():
         estimator.ingest_batch(chunk)
     estimator.end_pass()
     return estimator.result()

@@ -26,7 +26,7 @@ from typing import Dict, Sequence, Set, Tuple
 from repro.errors import EstimationError
 from repro.estimate.result import EstimateResult
 from repro.sketch.reservoir import ReservoirSampler
-from repro.streams.stream import EdgeStream, pass_batches
+from repro.streams.stream import EdgeStream
 from repro.utils.checkpoint import check_state_config, state_field
 from repro.utils.rng import RandomSource, ensure_rng
 
@@ -164,7 +164,7 @@ def triest_count(
     stream.reset_pass_count()
     estimator = TriestEstimator(capacity, rng)
     estimator.begin_pass(0)
-    for chunk in pass_batches(stream, columnar=False):
+    for chunk in stream.batches():
         estimator.ingest_batch(chunk)
     estimator.end_pass()
     result = estimator.result()

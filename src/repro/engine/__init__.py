@@ -112,7 +112,6 @@ from repro.engine.parallel import (
     EstimatorSpec,
     StreamHandle,
     run_parallel_engine,
-    run_process_engine,
 )
 from repro.engine.sharded import (
     ShardedRunner,
@@ -136,7 +135,6 @@ __all__ = [
     "EstimatorSpec",
     "StreamHandle",
     "run_parallel_engine",
-    "run_process_engine",
     "RoundAdaptiveEstimator",
     "fgp_insertion_estimator",
     "fgp_turnstile_estimator",

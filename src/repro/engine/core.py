@@ -13,8 +13,9 @@ An estimator is anything implementing the pass-callback protocol:
 * ``name``                — unique registration key;
 * ``wants_pass()``        — whether it needs another pass;
 * ``begin_pass(i)``       — a fused pass is starting;
-* ``ingest_batch(batch)`` — a chunk of decoded ``(u, v, delta, edge)``
-  stream elements, in stream order;
+* ``ingest_batch(batch)`` — the next :class:`~repro.streams.batch.EdgeBatch`
+  of the pass, in stream order (it also iterates as decoded
+  ``(u, v, delta, edge)`` tuples);
 * ``end_pass()``          — the pass is over;
 * ``result()``            — the finished estimate.
 
@@ -41,9 +42,8 @@ runs once.  Whether *later passes* also reuse the decoded batches is
 the stream's batch-cache policy's call (:mod:`repro.streams.cache`,
 engine knob ``cache=``): ``"all"`` retains everything (the in-memory
 default), ``"lru:<bytes>"`` a bounded working set (disk streams
-bigger than RAM), ``"none"`` nothing.  ``columnar=False`` restores
-the historical per-pass tuple decode as a reference path; results
-are identical across all of these.
+bigger than RAM), ``"none"`` nothing.  Results are identical across
+all of these.
 
 The engine runs on one of three execution backends
 (:class:`EngineBackend`): ``serial`` dispatches in-process; ``thread``
@@ -56,21 +56,22 @@ shared-memory batch ring to processes (:mod:`repro.engine.parallel`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.errors import EngineError, StreamError
+from repro.streams.batch import EdgeBatch
 from repro.streams.stream import (
     DEFAULT_CHUNK_SIZE,
     DecodedUpdate,
     EdgeStream,
     check_batch_size,
-    pass_batches,
 )
 
-#: What the engine dispatches to estimators: a run of decoded elements —
-#: a columnar :class:`~repro.streams.batch.EdgeBatch` on the default
-#: pipeline, or a plain list of tuples on the scalar reference path.
-DecodedBatch = Sequence[DecodedUpdate]
+#: What the engine dispatches to estimators: one columnar
+#: :class:`~repro.streams.batch.EdgeBatch` of a stream pass.  It also
+#: iterates as decoded ``(u, v, delta, edge)`` tuples, which is all the
+#: per-element baselines read.
+DecodedBatch = EdgeBatch
 
 #: Default updates per dispatched batch — the same knob as the
 #: sequential paths' decode granularity (results are invariant to it;
@@ -82,9 +83,8 @@ def apply_cache_policy(stream, cache) -> None:
     """Apply a batch-cache spec to *stream* if one was requested.
 
     ``None`` leaves the stream's own policy in place.  Streams without
-    a policy surface (:class:`~repro.engine.parallel.StreamHandle`,
-    bare iterables on the scalar path) only reject a non-``None``
-    request.
+    a policy surface (:class:`~repro.engine.parallel.StreamHandle`)
+    only reject a non-``None`` request.
     """
     if cache is None:
         return
@@ -166,7 +166,7 @@ class StreamEngine:
     ----------
     stream:
         The :class:`~repro.streams.stream.EdgeStream` every estimator
-        reads.  The engine owns the iteration: one ``stream.updates()``
+        reads.  The engine owns the iteration: one ``stream.batches()``
         call per fused pass, however many estimators are registered.
     batch_size:
         Updates per dispatched chunk.  Results are invariant to the
@@ -187,13 +187,6 @@ class StreamEngine:
     start_method:
         Multiprocessing start method for the process backend (``None``:
         ``fork`` where available, else ``spawn``).
-    columnar:
-        Whether passes are dispatched as columnar
-        :class:`~repro.streams.batch.EdgeBatch` objects (the default)
-        or as the scalar tuple lists of the historical pipeline.
-        Results are identical either way — the flag exists so the
-        benchmarks and equivalence tests can pin the scalar reference
-        path.
     cache:
         Batch-cache policy applied to the stream before the run — any
         spec of :func:`~repro.streams.cache.resolve_cache_policy`
@@ -222,7 +215,6 @@ class StreamEngine:
         backend: str = EngineBackend.SERIAL,
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
-        columnar: bool = True,
         cache=None,
         on_worker_loss: str = "abort",
         fault_plan=None,
@@ -249,7 +241,6 @@ class StreamEngine:
         self._backend = backend
         self._workers = workers
         self._start_method = start_method
-        self._columnar = columnar
         self._cache = cache
         self._on_worker_loss = on_worker_loss
         self._fault_plan = fault_plan
@@ -364,7 +355,6 @@ class StreamEngine:
                 start_method=self._start_method,
                 reset_pass_count=self._reset_pass_count,
                 max_passes=self._max_passes,
-                columnar=self._columnar,
                 cache=self._cache,
                 on_worker_loss=self._on_worker_loss,
                 fault_plan=self._fault_plan,
@@ -391,7 +381,7 @@ class StreamEngine:
                 )
             for estimator in active:
                 estimator.begin_pass(passes)
-            for batch in pass_batches(self._stream, self._batch_size, self._columnar):
+            for batch in self._stream.batches(self._batch_size):
                 elements += len(batch)
                 for estimator in active:
                     estimator.ingest_batch(batch)

@@ -160,7 +160,6 @@ def _run_mirror(
     backend: str,
     workers,
     start_method,
-    columnar: bool,
     cache,
 ) -> tuple:
     """Register one fully independent estimator per copy and run fused.
@@ -177,7 +176,6 @@ def _run_mirror(
         backend=backend,
         workers=workers,
         start_method=start_method,
-        columnar=columnar,
         cache=cache,
     )
     names = [f"copy-{index}" for index in range(copies)]
@@ -198,7 +196,6 @@ def _run_shared(
     oracle,
     make_generator: Callable[[int, int], object],
     finalize_copies: Callable,
-    columnar: bool,
     cache,
 ) -> tuple:
     """Merge all copies' generators into one oracle and run fused."""
@@ -208,7 +205,7 @@ def _run_shared(
         for trial in range(trials)
     ]
     estimator = RoundAdaptiveEstimator("fused", generators, oracle, finalize_copies)
-    engine = StreamEngine(stream, batch_size=batch_size, columnar=columnar, cache=cache)
+    engine = StreamEngine(stream, batch_size=batch_size, cache=cache)
     engine.register(estimator)
     report = engine.run()
     return report.results["fused"], report
@@ -331,7 +328,6 @@ def _run_shared_sharded(
     sampler_mode: str,
     sampler_kwargs: Dict,
     sampler_repetitions: int,
-    columnar: bool,
     cache,
 ) -> tuple:
     """Shard a shared-mode run across a worker pool (thread or process).
@@ -365,7 +361,6 @@ def _run_shared_sharded(
         backend=backend,
         workers=pool,
         start_method=start_method,
-        columnar=columnar,
         cache=cache,
     )
     for shard, indices in enumerate(shards):
@@ -424,7 +419,6 @@ def _fused_fgp_count(
     sampler_mode: str,
     sampler_kwargs: Dict,
     sampler_repetitions: int = 8,
-    columnar: bool = True,
     cache=None,
 ) -> FusedCountResult:
     """Common driver behind the three fused entry points."""
@@ -453,7 +447,6 @@ def _fused_fgp_count(
             backend,
             workers,
             start_method,
-            columnar,
             cache,
         )
     elif backend != EngineBackend.SERIAL:
@@ -474,7 +467,6 @@ def _fused_fgp_count(
             sampler_mode,
             sampler_kwargs,
             sampler_repetitions,
-            columnar,
             cache,
         )
     else:
@@ -498,7 +490,6 @@ def _fused_fgp_count(
             oracle,
             make_generator,
             _shared_fgp_finalize(stream, pattern, range(copies), k, oracle, algorithm),
-            columnar,
             cache,
         )
         ensemble_space = oracle.space.peak_words
@@ -540,7 +531,6 @@ def count_subgraphs_insertion_only_fused(
     backend: str = EngineBackend.SERIAL,
     workers: Optional[int] = None,
     start_method: Optional[str] = None,
-    columnar: bool = True,
     cache=None,
 ) -> FusedCountResult:
     """Median of K fused Theorem-17 runs in exactly 3 insertion passes.
@@ -600,7 +590,6 @@ def count_subgraphs_insertion_only_fused(
         lambda oracle_rng: InsertionStreamOracle(stream, oracle_rng),
         SamplerMode.AUGMENTED,
         {},
-        columnar=columnar,
         cache=cache,
     )
 
@@ -621,7 +610,6 @@ def count_subgraphs_turnstile_fused(
     backend: str = EngineBackend.SERIAL,
     workers: Optional[int] = None,
     start_method: Optional[str] = None,
-    columnar: bool = True,
     cache=None,
 ) -> FusedCountResult:
     """Median of K fused Theorem-1 runs in exactly 3 turnstile passes.
@@ -680,7 +668,6 @@ def count_subgraphs_turnstile_fused(
         SamplerMode.RELAXED,
         {},
         sampler_repetitions=sampler_repetitions,
-        columnar=columnar,
         cache=cache,
     )
 
@@ -700,7 +687,6 @@ def count_subgraphs_two_pass_fused(
     backend: str = EngineBackend.SERIAL,
     workers: Optional[int] = None,
     start_method: Optional[str] = None,
-    columnar: bool = True,
     cache=None,
 ) -> FusedCountResult:
     """Median of K fused 2-pass runs (star-decomposable H) in 2 passes.
@@ -747,6 +733,5 @@ def count_subgraphs_two_pass_fused(
         lambda oracle_rng: InsertionStreamOracle(stream, oracle_rng),
         SamplerMode.AUGMENTED,
         {"skip_empty_wedge_round": True},
-        columnar=columnar,
         cache=cache,
     )

@@ -67,8 +67,7 @@ buffering the whole stream):
 
 ``("begin_pass", i)`` / ``("batch", updates)`` / ``("end_pass",)``
     One fused pass: updates are columnar
-    :class:`~repro.streams.batch.EdgeBatch` objects or lists of
-    decoded ``(u, v, delta, edge)`` tuples, in stream order.
+    :class:`~repro.streams.batch.EdgeBatch` objects, in stream order.
 ``("shm_batch", name, capacity, length, seq)``
     Process backend only: the batch's columns live in shared-memory
     segment *name* (packed by
@@ -120,13 +119,12 @@ from repro.errors import EngineError, StreamError, WorkerLossError
 from repro.faults.plan import FaultPlan, WorkerKilled
 from repro.utils.retry import RetryPolicy, retry_call
 from repro.streams.batch import EdgeBatch, PACKED_ELEMENT_BYTES, pack_columns, unpack_columns
-from repro.streams.stream import EdgeStream, check_batch_size, pass_batches
+from repro.streams.stream import EdgeStream, check_batch_size
 
 __all__ = [
     "StreamHandle",
     "EstimatorSpec",
     "run_parallel_engine",
-    "run_process_engine",
     "make_worker_pool",
     "resolve_workers",
     "shard_indices",
@@ -216,6 +214,9 @@ class StreamHandle:
             "StreamHandle cannot be iterated: in the parallel backends the "
             "driver owns the stream and publishes decoded batches to workers"
         )
+
+    def batches(self, batch_size=None):
+        return self.updates()
 
     def __len__(self) -> int:
         return self.length
@@ -1112,9 +1113,8 @@ class _ProcessPool(_PoolBase):
 
         The columns are packed into shared memory **once** and every
         worker receives only a slot reference — O(1) queue bytes per
-        worker instead of a full pickled copy each.  Scalar payloads
-        (``columnar=False`` tuple lists) and batches larger than the
-        ring capacity fall back to the pickled queue path.
+        worker instead of a full pickled copy each.  Batches larger than
+        the ring capacity fall back to the pickled queue path.
 
         The recipient list is snapshotted *before* the slot wait: loss
         recovery inside the wait may respawn a worker into the
@@ -1123,9 +1123,7 @@ class _ProcessPool(_PoolBase):
         publish to it as well would double-ingest the chunk.
         """
         targets = list(worker_ids)
-        if not isinstance(batch, EdgeBatch) or not (
-            0 < len(batch) <= self._batch_capacity
-        ):
+        if len(batch) > self._batch_capacity:
             self.broadcast(targets, ("batch", batch))
             return
         ring = self._ensure_ring()
@@ -1294,7 +1292,6 @@ def run_parallel_engine(
     reset_pass_count: bool = True,
     max_passes: int = 0,
     reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
-    columnar: bool = True,
     cache=None,
     on_worker_loss: str = "abort",
     fault_plan: Optional[FaultPlan] = None,
@@ -1309,7 +1306,7 @@ def run_parallel_engine(
     *publications* (batches × active workers) and ``workers`` records
     the pool size.
 
-    With *columnar* (the default) the process backend publishes each
+    The process backend publishes each
     :class:`~repro.streams.batch.EdgeBatch` through the shared-memory
     ring — the columns are written once, each worker gets a slot
     reference — and the thread backend hands the batch object over
@@ -1396,7 +1393,7 @@ def run_parallel_engine(
                     f"max_passes={max_passes}"
                 )
             pool.broadcast(active, ("begin_pass", passes))
-            for batch in pass_batches(stream, batch_size, columnar):
+            for batch in stream.batches(batch_size):
                 elements += len(batch)
                 pool.publish_batch(active, batch)
                 dispatches += len(active)
@@ -1439,38 +1436,3 @@ def run_parallel_engine(
         lost=tuple(lost_names),
     )
 
-
-def run_process_engine(
-    stream: EdgeStream,
-    specs: Sequence[EstimatorSpec],
-    workers: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    start_method: Optional[str] = None,
-    reset_pass_count: bool = True,
-    max_passes: int = 0,
-    reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
-    columnar: bool = True,
-    cache=None,
-    on_worker_loss: str = "abort",
-    fault_plan: Optional[FaultPlan] = None,
-) -> EngineReport:
-    """Drive *specs* across a process pool (see :func:`run_parallel_engine`).
-
-    Kept as the historical entry point; equivalent to
-    ``run_parallel_engine(..., backend="process")``.
-    """
-    return run_parallel_engine(
-        stream,
-        specs,
-        backend="process",
-        workers=workers,
-        batch_size=batch_size,
-        start_method=start_method,
-        reset_pass_count=reset_pass_count,
-        max_passes=max_passes,
-        reply_timeout=reply_timeout,
-        columnar=columnar,
-        cache=cache,
-        on_worker_loss=on_worker_loss,
-        fault_plan=fault_plan,
-    )

@@ -88,7 +88,7 @@ from repro.errors import EngineError, StreamError
 from repro.estimate.concentration import ParamMode
 from repro.patterns.pattern import Pattern
 from repro.streaming.three_pass import resolve_trials
-from repro.streams.stream import check_batch_size, pass_batches
+from repro.streams.stream import check_batch_size
 from repro.utils.rng import RandomSource, derive_seed, ensure_rng
 
 __all__ = [
@@ -150,7 +150,6 @@ class ShardedRunner:
         backend: str = EngineBackend.SERIAL,
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
-        columnar: bool = True,
         cache=None,
         max_passes: int = 0,
         reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
@@ -172,7 +171,6 @@ class ShardedRunner:
         self._backend = backend
         self._workers = workers
         self._start_method = start_method
-        self._columnar = columnar
         self._cache = cache
         self._max_passes = max_passes
         self._reply_timeout = reply_timeout
@@ -219,9 +217,7 @@ class ShardedRunner:
         """One shard's pass: feed every batch to the shard's replicas."""
         elements = 0
         batches = 0
-        for batch in pass_batches(
-            self._shards[shard_index], self._batch_size, self._columnar
-        ):
+        for batch in self._shards[shard_index].batches(self._batch_size):
             elements += len(batch)
             batches += 1
             for estimator in estimators:
@@ -387,9 +383,7 @@ class ShardedRunner:
                 for index in active:
                     primaries[index].begin_pass(passes)
                 for shard in range(count):
-                    for batch in pass_batches(
-                        self._shards[shard], self._batch_size, self._columnar
-                    ):
+                    for batch in self._shards[shard].batches(self._batch_size):
                         elements += len(batch)
                         dispatches += len(active)
                         pool.publish_batch([shard], batch)
@@ -442,7 +436,6 @@ def count_subgraphs_turnstile_sharded(
     backend: str = EngineBackend.SERIAL,
     workers: Optional[int] = None,
     start_method: Optional[str] = None,
-    columnar: bool = True,
     cache=None,
     max_passes: int = 0,
 ) -> FusedCountResult:
@@ -470,7 +463,6 @@ def count_subgraphs_turnstile_sharded(
         backend=backend,
         workers=workers,
         start_method=start_method,
-        columnar=columnar,
         cache=cache,
         max_passes=max_passes,
     )

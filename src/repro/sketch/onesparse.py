@@ -13,21 +13,19 @@ probability <= universe / p over the choice of z — negligible for
 p = 2^61 - 1.  This is the building block of the Cormode–Firmani
 ℓ0-sampler (Lemma 7).
 
-All three aggregates are linear in the updates, which is what the
-columnar fast path exploits: a batch of updates collapses to one
-triple of deltas (:meth:`OneSparseRecovery.apply_aggregates`),
-computed vectorized by the caller and bit-identical to replaying the
-batch element-wise.
+All three aggregates are linear in the updates: a batch of updates
+collapses to one triple of deltas
+(:meth:`OneSparseRecovery.apply_aggregates`), bit-identical to
+replaying the batch element-wise — what merging two sketches and the
+ℓ0-sampler bank's array cells (:mod:`repro.sketch.l0`) rely on.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import MergeError
-from repro.sketch.hashing import MERSENNE_PRIME, mulmod_vec, powmod_vec, split_sum
+from repro.sketch.hashing import MERSENNE_PRIME
 from repro.utils.checkpoint import check_merge_config, check_state_config, state_field
 from repro.utils.rng import RandomSource, ensure_rng
 
@@ -100,8 +98,6 @@ class OneSparseRecovery:
 
         The aggregates are sums, so the batched result equals applying
         :meth:`update` per pair; lookups are hoisted out of the loop.
-        This is the scalar reference path — columnar callers use
-        :meth:`update_many_arrays`.
         """
         universe = self._universe
         z = self._z
@@ -117,51 +113,6 @@ class OneSparseRecovery:
         self._weight = weight
         self._weighted_sum = weighted_sum
         self._fingerprint = fingerprint
-
-    def update_many_arrays(
-        self,
-        items: np.ndarray,
-        deltas: np.ndarray,
-        z_powers: Optional[np.ndarray] = None,
-    ) -> None:
-        """Vectorized :meth:`update_many` over parallel numpy arrays.
-
-        *items* must already be validated against the universe by the
-        caller (the columnar pipeline validates once per batch, not
-        once per sketch).  *z_powers* may carry precomputed ``z^item
-        mod p`` values (``uint64``); when omitted they are computed
-        with :func:`~repro.sketch.hashing.powmod_vec`.  Bit-identical
-        to the scalar path: every modular product is exact, and the
-        integer aggregates are recombined as Python ints.
-        """
-        if not len(items):
-            return
-        items = np.ascontiguousarray(items, dtype=np.int64)
-        deltas = np.ascontiguousarray(deltas, dtype=np.int64)
-        # The limb sums below stay exact iff max|delta| × batch <= 2^31
-        # (then Σ|delta·item_lo| <= 2^31·(2^32-1) < 2^63); stream deltas
-        # are ±1, so the exact scalar fallback is for API callers only.
-        # Min/max as Python ints: np.abs(int64 min) would itself wrap.
-        largest = max(-int(deltas.min()), int(deltas.max()))
-        if largest * len(deltas) > (1 << 31):
-            self.update_many(zip(items.tolist(), deltas.tolist()))
-            return
-        if z_powers is None:
-            z_powers = powmod_vec(self._z, items.astype(np.uint64))
-        # Signed modular contribution per update: delta * z^item mod p,
-        # with delta folded into the field ((-1) mod p = p - 1).
-        signed = mulmod_vec(
-            (deltas % MERSENNE_PRIME).astype(np.uint64), z_powers
-        )
-        fingerprint_delta = split_sum(signed) % MERSENNE_PRIME
-        # Exact weighted sum via 32-bit limb split: items < 2^62, so
-        # delta * (item >> 32) stays far below int64 overflow for any
-        # realistic batch length.
-        high = int((deltas * (items >> 32)).sum(dtype=np.int64))
-        low = int((deltas * (items & 0xFFFFFFFF)).sum(dtype=np.int64))
-        self.apply_aggregates(
-            int(deltas.sum(dtype=np.int64)), (high << 32) + low, fingerprint_delta
-        )
 
     def apply_aggregates(
         self, weight_delta: int, weighted_delta: int, fingerprint_delta: int

@@ -28,7 +28,6 @@ from repro.streams.stream import (
     Update,
     check_batch_size,
     insertion_stream,
-    pass_batches,
     turnstile_stream,
 )
 from repro.streams.space import SpaceMeter
@@ -50,7 +49,6 @@ __all__ = [
     "EdgeStream",
     "Update",
     "VertexMembership",
-    "pass_batches",
     "check_batch_size",
     "insertion_stream",
     "turnstile_stream",

@@ -4,8 +4,8 @@ An :class:`EdgeBatch` holds one decoded chunk of a stream pass as
 numpy columns — ``u``, ``v``, ``delta`` as ``int64`` arrays plus the
 normalized endpoint columns ``lo``/``hi`` — instead of a list of
 ``(u, v, delta, edge)`` tuples.  It still *behaves* like that list
-(``len``, iteration, indexing all yield decoded tuples), so every
-scalar consumer keeps working unchanged, while vectorized consumers
+(``len``, iteration, indexing all yield decoded tuples), so the
+per-element baselines read it unchanged, while vectorized consumers
 read the columns directly and the engine ships batches across process
 boundaries as flat array buffers instead of pickled tuple lists.
 
@@ -307,9 +307,9 @@ class EdgeBatch(Sequence):
         """Interleaved endpoint events ``(endpoint, other, element_index)``.
 
         Element i expands to two events in stream order — ``(u_i, v_i)``
-        then ``(v_i, u_i)`` — which is exactly the order the scalar
-        per-element trackers (degree counters, arrival watchers,
-        neighbor reservoirs) visit endpoints.  Cached.
+        then ``(v_i, u_i)`` — which is exactly the order per-element
+        trackers (degree counters, arrival watchers, neighbor
+        reservoirs) visit endpoints.  Cached.
         """
         if self._events is None:
             length = len(self.u)

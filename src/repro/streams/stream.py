@@ -372,7 +372,7 @@ class ColumnEdgeStream(CachedBatchStream):
         return self._u, self._v, self._delta
 
     def updates(self) -> Iterator[Update]:
-        """Read one pass as :class:`Update` objects (scalar reference path)."""
+        """Read one pass as :class:`Update` objects, counting it."""
         self._passes += 1
 
         def generate() -> Iterator[Update]:
@@ -407,48 +407,6 @@ class ColumnEdgeStream(CachedBatchStream):
 
 #: A decoded stream element: ``(u, v, delta, normalized_edge)``.
 DecodedUpdate = Tuple[int, int, int, Edge]
-
-
-def decoded_chunks(
-    updates: Iterable[Update], chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> Iterator[List[DecodedUpdate]]:
-    """Decode :class:`Update` objects into bounded chunks of plain tuples.
-
-    The shared feeding loop of every pass consumer (the stream oracles'
-    ``answer_batch``, the baseline one-shot wrappers, and the fused
-    engine): each ``Update`` is unpacked once into ``(u, v, delta,
-    edge)`` so downstream loops avoid the dataclass attribute/property
-    cost, and peak memory stays O(chunk_size) however long the pass is.
-    """
-    chunk_size = check_batch_size(chunk_size)
-    batch: List[DecodedUpdate] = []
-    append = batch.append
-    for update in updates:
-        append((update.u, update.v, update.delta, update.edge))
-        if len(batch) >= chunk_size:
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
-
-
-def pass_batches(
-    stream, batch_size: int = DEFAULT_CHUNK_SIZE, columnar: bool = True
-):
-    """One stream pass as dispatchable batches (counting the pass).
-
-    The single entry point behind every pass consumer — the engine's
-    dispatch loop, the parallel driver's broadcast loop, and the
-    oracles' one-shot ``answer_batch``.  With *columnar* (the default)
-    and a stream exposing :meth:`EdgeStream.batches`, the pass yields
-    cached :class:`~repro.streams.batch.EdgeBatch` columns; otherwise
-    it falls back to the scalar tuple decode of :func:`decoded_chunks`
-    — the reference path the bit-equality tests compare against.
-    """
-    if columnar and hasattr(stream, "batches"):
-        return stream.batches(batch_size)
-    return decoded_chunks(stream.updates(), batch_size)
 
 
 def insertion_stream(

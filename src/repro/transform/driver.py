@@ -132,7 +132,7 @@ def run_round_adaptive(
     The oracle must expose ``answer_batch(batch) -> list``.  For the
     stream-backed oracles each call consumes one pass — read through
     the stream's cached columnar batches
-    (:func:`repro.streams.stream.pass_batches`) — so the returned
+    (:meth:`repro.streams.stream.CachedBatchStream.batches`) — so the returned
     ``rounds`` equals the number of passes used, the quantity
     Theorems 9 and 11 bound by the algorithms' round-adaptivity.
     """

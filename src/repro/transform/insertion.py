@@ -22,7 +22,7 @@ state — the bound of Theorem 9.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.streams.batch import (
     sorted_member_mask,
 )
 from repro.streams.space import SpaceMeter
-from repro.streams.stream import EdgeStream, pass_batches
+from repro.streams.stream import EdgeStream
 from repro.utils.checkpoint import (
     check_state_config,
     rng_state,
@@ -63,12 +63,13 @@ class InsertionPassState:
     Created by :meth:`InsertionStreamOracle.begin_batch`.  The caller —
     either :meth:`InsertionStreamOracle.answer_batch` (which iterates
     the stream itself) or the fused engine (which shares one stream
-    iteration among many estimators) — feeds decoded updates through
+    iteration among many estimators) — feeds the pass's
+    :class:`~repro.streams.batch.EdgeBatch`\\ es through
     :meth:`ingest_batch` and then collects the answers with
     :meth:`finish`.  Randomness is drawn only at construction (the
-    skip-ahead banks) and during ingestion (bank offers), in the same
-    order as the historical monolithic pass loop, so both drivers
-    produce bit-identical answers for the same oracle seed.
+    skip-ahead banks) and during ingestion (bank offers), each bank in
+    stream order, so answers do not depend on how the stream is
+    batched.
     """
 
     __slots__ = (
@@ -82,27 +83,25 @@ class InsertionPassState:
         "_neighbor_query_positions",
         "_adjacency_positions",
         "_edge_count_positions",
+        "_degree_vertices",
         "_degree_counts",
         "_arrival_counts",
         "_neighbor_watch",
         "_captured",
         "_adjacency_pairs",
-        "_present_pairs",
+        "_adjacency_ids",
+        "_adjacency_seen",
         "_edge_count",
         "_edge_bank",
         "_neighbor_banks",
-        "_columnar_ready",
-        "_degree_members",
-        "_degree_accumulator",
-        "_arrival_members",
-        "_neighbor_members",
-        "_adjacency_ids",
-        "_adjacency_seen",
+        "_members",
     )
 
     def __init__(self, oracle: "InsertionStreamOracle", batch: QueryBatch, pass_index: int) -> None:
         self._oracle = oracle
         self._size = len(batch)
+        n = oracle._stream.n
+        self._n = n
 
         edge_positions: List[int] = []
         neighbor_positions: Dict[int, List[int]] = {}
@@ -139,32 +138,32 @@ class InsertionPassState:
             else:
                 raise OracleError(f"unsupported query type {kind.__name__}")
 
+        # Degree counters and adjacency flags are flat arrays indexed by
+        # slot: the sorted vertex (pair) order, which is also the order
+        # of the membership filters' slots and of the dense edge ids.
+        self._degree_vertices = sorted(degree_vertices)
+        degree_slot = {vertex: slot for slot, vertex in enumerate(self._degree_vertices)}
+        self._adjacency_pairs = sorted(adjacency_pairs)
+        pair_slot = {pair: slot for slot, pair in enumerate(self._adjacency_pairs)}
+
         self._edge_positions = edge_positions
         self._neighbor_positions = neighbor_positions
-        self._degree_positions = degree_positions
+        self._degree_positions = [(p, degree_slot[v]) for p, v in degree_positions]
         self._neighbor_query_positions = neighbor_query_positions
-        self._adjacency_positions = adjacency_positions
+        self._adjacency_positions = [(p, pair_slot[e]) for p, e in adjacency_positions]
         self._edge_count_positions = edge_count_positions
-        self._degree_counts: Dict[int, int] = {v: 0 for v in degree_vertices}
+        self._degree_counts = np.zeros(len(degree_vertices), dtype=np.int64)
         self._arrival_counts: Dict[int, int] = {v: 0 for v in neighbor_watch}
         self._neighbor_watch = neighbor_watch
         self._captured: Dict[int, Optional[int]] = {}
-        self._adjacency_pairs = adjacency_pairs
-        self._present_pairs: Set[Tuple[int, int]] = set()
+        self._adjacency_ids = np.array(
+            [edge_id(a, b, n) for a, b in self._adjacency_pairs], dtype=np.int64
+        )
+        self._adjacency_seen = np.zeros(len(adjacency_pairs), dtype=bool)
         self._edge_count = 0
-
-        self._n = oracle._stream.n
-        # Columnar-path lookup structures (vertex-membership filters,
-        # sorted pair ids, flat accumulators) are built lazily by the
-        # first columnar batch — a scalar-fed pass never pays for
-        # them.  See _build_columnar_structures.
-        self._columnar_ready = False
-        self._degree_members = None
-        self._degree_accumulator = None
-        self._arrival_members = None
-        self._neighbor_members = None
-        self._adjacency_ids = None
-        self._adjacency_seen = None
+        # Built by the first ingested batch (see _build_members), so a
+        # pass that never ingests never allocates them.
+        self._members = None
 
         # Skip-ahead banks: O(1) amortized per stream element however
         # many f1/f3 queries the batch carries (see repro.sketch.reservoir).
@@ -193,98 +192,30 @@ class InsertionPassState:
         )
         oracle.space.set_usage(self._component, words)
 
-    def ingest_batch(self, updates: Sequence[Tuple[int, int, int, Tuple[int, int]]]) -> None:
-        """Consume decoded ``(u, v, delta, edge)`` stream elements, in order.
+    def ingest_batch(self, batch: EdgeBatch) -> None:
+        """Consume one batch of stream elements, in stream order.
 
-        Structures are independent consumers of the same ordered
-        element sequence (each bank draws from its own rng), so the
-        edge bank is fed through the batched
-        :meth:`~repro.sketch.reservoir.SkipAheadReservoirBank.offer_many`
-        and the remaining trackers share one loop that is skipped
-        entirely when no query of the pass needs it — the common
-        FGP-pass shapes (f1-only, wedge-only, adjacency-only) each hit
-        their cheap path.
-
-        Columnar :class:`~repro.streams.batch.EdgeBatch` input takes
-        the vectorized route (:meth:`_ingest_columnar`); plain decoded
-        tuple lists take the scalar reference loop below.  Both routes
-        draw randomness per reservoir bank in identical order, so they
-        produce bit-identical answers.
-        """
-        if isinstance(updates, EdgeBatch):
-            self._ingest_columnar(updates)
-            return
-        self._edge_count += len(updates)
-        if self._edge_bank.size:
-            self._edge_bank.offer_many([edge for _, _, _, edge in updates])
-
-        neighbor_banks = self._neighbor_banks
-        degree_counts = self._degree_counts
-        arrival_counts = self._arrival_counts
-        adjacency_pairs = self._adjacency_pairs
-
-        if adjacency_pairs and not (neighbor_banks or degree_counts or arrival_counts):
-            self._present_pairs.update(
-                edge for _, _, _, edge in updates if edge in adjacency_pairs
-            )
-            return
-        if not (neighbor_banks or degree_counts or arrival_counts):
-            return
-
-        neighbor_watch = self._neighbor_watch
-        captured = self._captured
-        present_pairs = self._present_pairs
-        for u, v, _, edge in updates:
-            if neighbor_banks:
-                bank = neighbor_banks.get(u)
-                if bank is not None:
-                    bank.offer(v)
-                bank = neighbor_banks.get(v)
-                if bank is not None:
-                    bank.offer(u)
-            if degree_counts:
-                if u in degree_counts:
-                    degree_counts[u] += 1
-                if v in degree_counts:
-                    degree_counts[v] += 1
-            if arrival_counts:
-                for endpoint, other in ((u, v), (v, u)):
-                    if endpoint in arrival_counts:
-                        seen = arrival_counts[endpoint]
-                        watchers = neighbor_watch[endpoint]
-                        if seen in watchers:
-                            for position in watchers[seen]:
-                                captured[position] = other
-                        arrival_counts[endpoint] = seen + 1
-            if adjacency_pairs and edge in adjacency_pairs:
-                present_pairs.add(edge)
-
-    def _ingest_columnar(self, batch: EdgeBatch) -> None:
-        """Vectorized ingestion of one columnar batch.
-
-        Every tracker becomes array work over the batch columns:
+        Every tracker is array work over the batch columns:
 
         * the f1 edge bank skips ahead over a lazy edge view, touching
           only accepted elements;
         * degree counters are a membership filter plus a grouped count
-          into a flat accumulator (folded into the dicts at finish);
+          into their slot array;
         * f3 arrival watchers and random-neighbor reservoirs filter the
           interleaved endpoint events down to watched-incident ones and
           walk only those, grouped by vertex with stream order
-          preserved (stable sort) — the reservoir draws therefore
-          happen in exactly the scalar order per bank;
+          preserved (stable sort) — each bank therefore draws its
+          randomness in stream order;
         * adjacency flags are one membership test on the batch's dense
           edge ids.
         """
         self._edge_count += len(batch)
         if self._edge_bank.size:
             self._edge_bank.offer_many(batch.edges_view())
-        if not self._columnar_ready:
-            self._build_columnar_structures()
+        if self._members is None:
+            self._members = self._build_members()
 
-        degree_members = self._degree_members
-        arrival_members = self._arrival_members
-        neighbor_members = self._neighbor_members
+        degree_members, arrival_members, neighbor_members = self._members
         if (
             degree_members is not None
             or arrival_members is not None
@@ -295,9 +226,7 @@ class InsertionPassState:
             if degree_members is not None:
                 hits = endpoint[degree_members.mask(endpoint)]
                 if len(hits):
-                    np.add.at(
-                        self._degree_accumulator, degree_members.slots(hits), 1
-                    )
+                    np.add.at(self._degree_counts, degree_members.slots(hits), 1)
 
             if neighbor_members is not None:
                 mask = neighbor_members.mask(endpoint)
@@ -310,41 +239,29 @@ class InsertionPassState:
                     self._offer_grouped(endpoint[mask], other[mask], self._watch_arrivals)
 
         adjacency_ids = self._adjacency_ids
-        if adjacency_ids is not None:
+        if len(adjacency_ids):
             ids = batch.edge_ids(self._n)
             mask = sorted_member_mask(adjacency_ids, ids)
             if mask.any():
                 self._adjacency_seen[np.searchsorted(adjacency_ids, ids[mask])] = True
 
-    def _build_columnar_structures(self) -> None:
-        """Lazily build the vectorized-path lookup structures.
+    def _build_members(self) -> tuple:
+        """The per-vertex membership filters ``(degree, arrival, neighbor)``.
 
-        Per-vertex membership filters
-        (:class:`~repro.streams.batch.VertexMembership`: dense boolean
+        :class:`~repro.streams.batch.VertexMembership`: dense boolean
         gather tables for ordinary ``n``, sorted binary search on
-        huge-universe disk graphs), the sorted adjacency-pair ids, and
-        a compact per-watched-vertex degree accumulator that finish()
-        folds back into the scalar dicts.  Transient engineering
-        scratch of the columnar executor, outside the paper's space
-        accounting (which meters the *algorithmic* state only),
-        allocated exactly once by the first columnar batch — and never
-        proportional to ``n`` beyond the dense-table regime.
+        huge-universe disk graphs; ``None`` where no query watches a
+        vertex.  Transient engineering scratch of the executor, outside
+        the paper's space accounting (which meters the *algorithmic*
+        state only), allocated once per pass by the first batch — and
+        never proportional to ``n`` beyond the dense-table regime.
         """
         n = self._n
-        if self._degree_counts:
-            self._degree_members = VertexMembership(self._degree_counts, n)
-            self._degree_accumulator = np.zeros(
-                len(self._degree_members), dtype=np.int64
-            )
-        if self._neighbor_watch:
-            self._arrival_members = VertexMembership(self._neighbor_watch, n)
-        if self._neighbor_banks:
-            self._neighbor_members = VertexMembership(self._neighbor_banks, n)
-        if self._adjacency_pairs:
-            ids = sorted(edge_id(a, b, n) for a, b in self._adjacency_pairs)
-            self._adjacency_ids = np.array(ids, dtype=np.int64)
-            self._adjacency_seen = np.zeros(len(ids), dtype=bool)
-        self._columnar_ready = True
+        return (
+            VertexMembership(self._degree_vertices, n) if self._degree_vertices else None,
+            VertexMembership(self._neighbor_watch, n) if self._neighbor_watch else None,
+            VertexMembership(self._neighbor_banks, n) if self._neighbor_banks else None,
+        )
 
     @staticmethod
     def _offer_grouped(endpoints: np.ndarray, others: np.ndarray, consume) -> None:
@@ -352,7 +269,7 @@ class InsertionPassState:
 
         The stable sort keeps each vertex's incident arrivals in stream
         order; *consume(vertex, arrivals)* receives them as a plain int
-        list, exactly the sequence the scalar loop would have fed it.
+        list.
         """
         order = np.argsort(endpoints, kind="stable")
         endpoints = endpoints[order]
@@ -377,31 +294,6 @@ class InsertionPassState:
                 for position in positions:
                     self._captured[position] = captured
         self._arrival_counts[vertex] = stop
-
-    def _fold_columnar_state(self) -> None:
-        """Fold columnar accumulators back into the scalar dicts (idempotent).
-
-        Called by :meth:`finish` before answering and by
-        :meth:`state_dict` before capturing, so the serialized state is
-        always the backend-agnostic scalar form however the pass was
-        fed.
-        """
-        if self._degree_accumulator is not None:
-            accumulator = self._degree_accumulator
-            degree_counts = self._degree_counts
-            for slot, vertex in enumerate(self._degree_members.vertices.tolist()):
-                count = int(accumulator[slot])
-                if count:
-                    degree_counts[vertex] += count
-                    accumulator[slot] = 0
-        if self._adjacency_seen is not None and self._adjacency_seen.any():
-            n = self._n
-            adjacency_by_id = {
-                edge_id(a, b, n): (a, b) for a, b in self._adjacency_pairs
-            }
-            for identifier in self._adjacency_ids[self._adjacency_seen].tolist():
-                self._present_pairs.add(adjacency_by_id[identifier])
-            self._adjacency_seen[:] = False
 
     def merge(self, other: "InsertionPassState") -> None:
         """Always raises :class:`~repro.errors.MergeError`.
@@ -433,14 +325,19 @@ class InsertionPassState:
         overlays this runtime state (see
         :meth:`~repro.engine.estimators.RoundAdaptiveEstimator.load_state_dict`).
         """
-        self._fold_columnar_state()
         return {
             "size": self._size,
             "edge_count": self._edge_count,
-            "degree_counts": dict(self._degree_counts),
+            "degree_counts": dict(
+                zip(self._degree_vertices, self._degree_counts.tolist())
+            ),
             "arrival_counts": dict(self._arrival_counts),
             "captured": dict(self._captured),
-            "present_pairs": sorted(self._present_pairs),
+            "present_pairs": [
+                pair
+                for pair, seen in zip(self._adjacency_pairs, self._adjacency_seen.tolist())
+                if seen
+            ],
             "edge_bank": self._edge_bank.state_dict(),
             "neighbor_banks": {
                 vertex: bank.state_dict()
@@ -452,7 +349,7 @@ class InsertionPassState:
         """Restore runtime state into a structurally identical pass."""
         check_state_config("InsertionPassState", state, size=self._size)
         for field, current in (
-            ("degree_counts", self._degree_counts),
+            ("degree_counts", self._degree_vertices),
             ("arrival_counts", self._arrival_counts),
             ("neighbor_banks", self._neighbor_banks),
         ):
@@ -463,25 +360,34 @@ class InsertionPassState:
                     f"{sorted(captured)} but this pass tracks {sorted(current)}; "
                     "the pass was rebuilt from a different query batch"
                 )
-        self._fold_columnar_state()
-        self._edge_count = int(state_field("InsertionPassState", state, "edge_count"))
-        self._degree_counts = {
-            vertex: int(count) for vertex, count in state["degree_counts"].items()
+        pair_slot = {pair: slot for slot, pair in enumerate(self._adjacency_pairs)}
+        present = {
+            tuple(pair) for pair in state_field("InsertionPassState", state, "present_pairs")
         }
+        if not present <= pair_slot.keys():
+            raise CheckpointError(
+                f"InsertionPassState state field 'present_pairs' holds pairs "
+                f"{sorted(present - pair_slot.keys())} that this pass does not "
+                "track; the pass was rebuilt from a different query batch"
+            )
+        self._edge_count = int(state_field("InsertionPassState", state, "edge_count"))
+        degree_counts = state["degree_counts"]
+        self._degree_counts = np.array(
+            [int(degree_counts[vertex]) for vertex in self._degree_vertices],
+            dtype=np.int64,
+        )
         self._arrival_counts = {
             vertex: int(count) for vertex, count in state["arrival_counts"].items()
         }
         self._captured = dict(state_field("InsertionPassState", state, "captured"))
-        self._present_pairs = {
-            tuple(pair) for pair in state_field("InsertionPassState", state, "present_pairs")
-        }
+        self._adjacency_seen = np.zeros(len(self._adjacency_pairs), dtype=bool)
+        self._adjacency_seen[[pair_slot[pair] for pair in present]] = True
         self._edge_bank.load_state_dict(state["edge_bank"])
         for vertex, bank in self._neighbor_banks.items():
             bank.load_state_dict(state["neighbor_banks"][vertex])
 
     def finish(self) -> List[Any]:
         """Collect the batch's answers and release the pass's space."""
-        self._fold_columnar_state()
         answers: List[Any] = [None] * self._size
         edge_bank = self._edge_bank
         for slot, position in enumerate(self._edge_positions):
@@ -490,15 +396,15 @@ class InsertionPassState:
             bank = self._neighbor_banks[vertex]
             for slot, position in enumerate(positions):
                 answers[position] = bank.item(slot)
-        degree_counts = self._degree_counts
-        for position, vertex in self._degree_positions:
-            answers[position] = degree_counts[vertex]
+        degree_counts = self._degree_counts.tolist()
+        for position, slot in self._degree_positions:
+            answers[position] = degree_counts[slot]
         captured_get = self._captured.get
         for position in self._neighbor_query_positions:
             answers[position] = captured_get(position)
-        present_pairs = self._present_pairs
-        for position, edge in self._adjacency_positions:
-            answers[position] = edge in present_pairs
+        adjacency_seen = self._adjacency_seen.tolist()
+        for position, slot in self._adjacency_positions:
+            answers[position] = adjacency_seen[slot]
         edge_count = self._edge_count
         for position in self._edge_count_positions:
             answers[position] = edge_count
@@ -560,11 +466,10 @@ class InsertionStreamOracle:
         """Answer one round's batch in a single pass over the stream.
 
         The pass runs over the stream's cached columnar batches
-        (:func:`~repro.streams.stream.pass_batches`), which is
-        bit-identical to the scalar decode it replaces.
+        (:meth:`~repro.streams.stream.CachedBatchStream.batches`).
         """
         state = self.begin_batch(batch)
-        for chunk in pass_batches(self._stream):
+        for chunk in self._stream.batches():
             state.ingest_batch(chunk)
         return state.finish()
 

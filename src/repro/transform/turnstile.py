@@ -20,7 +20,7 @@ introduces the relaxed model (Definition 10).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.streams.batch import (
     sorted_member_mask,
 )
 from repro.streams.space import SpaceMeter
-from repro.streams.stream import EdgeStream, pass_batches
+from repro.streams.stream import EdgeStream
 from repro.utils.checkpoint import (
     check_merge_config,
     check_state_config,
@@ -63,7 +63,7 @@ class TurnstilePassState:
     The pass's ℓ0-samplers live in two banks (:class:`L0Sampler`): one
     over edge ids for the f1 queries, one over vertices for the f3
     queries, sampler ``i`` of a bank answering the ``i``-th such query
-    of the batch.  A columnar batch costs at most one
+    of the batch.  A batch costs at most one
     :meth:`L0Sampler.update_many_arrays` call per bank: the edge bank
     takes the whole batch, the neighbor bank takes the batch's
     ``(sampler, neighbor)`` pairs.  No randomness is drawn during
@@ -79,21 +79,19 @@ class TurnstilePassState:
         "_edge_bank",
         "_neighbor_positions",
         "_neighbor_bank",
-        "_samplers_by_vertex",
+        "_watched_vertices",
+        "_sampler_starts",
+        "_sampler_order",
         "_degree_positions",
         "_adjacency_positions",
         "_edge_count_positions",
+        "_degree_vertices",
         "_degree_counts",
+        "_pairs",
+        "_pair_ids",
         "_pair_counts",
         "_edge_count",
-        "_columnar_ready",
-        "_degree_members",
-        "_degree_accumulator",
-        "_sampler_members",
-        "_sampler_starts",
-        "_sampler_order",
-        "_pair_ids",
-        "_pair_accumulator",
+        "_members",
     )
 
     def __init__(self, oracle: "TurnstileStreamOracle", batch: QueryBatch, pass_index: int) -> None:
@@ -144,28 +142,38 @@ class TurnstilePassState:
         self._edge_bank = L0Sampler.bank(edge_universe, edge_rngs, repetitions)
         self._neighbor_positions = neighbor_positions
         self._neighbor_bank = L0Sampler.bank(n, neighbor_rngs, repetitions)
-        self._samplers_by_vertex: Dict[int, List[int]] = {}
+        # Samplers grouped by watched vertex, as a CSR over the sorted
+        # vertices: watched vertex k owns samplers
+        # order[starts[k]:starts[k + 1]].
+        samplers_by_vertex: Dict[int, List[int]] = {}
         for index, (_, vertex) in enumerate(neighbor_positions):
-            self._samplers_by_vertex.setdefault(vertex, []).append(index)
-        self._degree_positions = degree_positions
-        self._adjacency_positions = adjacency_positions
-        self._edge_count_positions = edge_count_positions
-        self._degree_counts: Dict[int, int] = {v: 0 for v in degree_vertices}
-        self._pair_counts: Dict[Tuple[int, int], int] = {pair: 0 for pair in adjacency_pairs}
-        self._edge_count = 0
+            samplers_by_vertex.setdefault(vertex, []).append(index)
+        self._watched_vertices = sorted(samplers_by_vertex)
+        groups = [samplers_by_vertex[v] for v in self._watched_vertices]
+        self._sampler_starts = np.cumsum([0] + [len(g) for g in groups])
+        self._sampler_order = np.array(
+            [index for group in groups for index in group], dtype=np.int64
+        )
 
-        # Columnar-path lookup structures (see InsertionPassState) are
-        # built lazily by the first columnar batch; the scalar ingest
-        # loop below never touches them, and finish() folds the flat
-        # accumulators back into the dicts.
-        self._columnar_ready = False
-        self._degree_members = None
-        self._degree_accumulator = None
-        self._sampler_members = None
-        self._sampler_starts = None
-        self._sampler_order = None
-        self._pair_ids = None
-        self._pair_accumulator = None
+        # Signed counters are flat arrays indexed by slot: the sorted
+        # vertex (pair) order, which is also the order of the membership
+        # filters' slots and of the dense edge ids.
+        self._degree_vertices = sorted(degree_vertices)
+        degree_slot = {vertex: slot for slot, vertex in enumerate(self._degree_vertices)}
+        self._pairs = sorted(adjacency_pairs)
+        pair_slot = {pair: slot for slot, pair in enumerate(self._pairs)}
+        self._degree_positions = [(p, degree_slot[v]) for p, v in degree_positions]
+        self._adjacency_positions = [(p, pair_slot[e]) for p, e in adjacency_positions]
+        self._edge_count_positions = edge_count_positions
+        self._degree_counts = np.zeros(len(degree_vertices), dtype=np.int64)
+        self._pair_ids = np.array(
+            [edge_id(a, b, n) for a, b in self._pairs], dtype=np.int64
+        )
+        self._pair_counts = np.zeros(len(adjacency_pairs), dtype=np.int64)
+        self._edge_count = 0
+        # Built by the first ingested batch (see _build_members), so a
+        # pass that never ingests never allocates them.
+        self._members = None
 
         self._component = f"turnstile-pass-{pass_index}"
         words = (
@@ -177,68 +185,21 @@ class TurnstilePassState:
         )
         oracle.space.set_usage(self._component, words)
 
-    def ingest_batch(self, updates: Sequence[Tuple[int, int, int, Tuple[int, int]]]) -> None:
-        """Consume decoded ``(u, v, delta, edge)`` stream elements, in order.
+    def ingest_batch(self, batch: EdgeBatch) -> None:
+        """Consume one batch of stream elements, in stream order.
 
-        Columnar :class:`~repro.streams.batch.EdgeBatch` input takes the
-        vectorized route (:meth:`_ingest_columnar`); tuple lists take
-        the scalar reference loop below.  The sketches are linear and
-        no randomness is drawn during ingestion, so both routes yield
-        bit-identical answers.
-        """
-        if isinstance(updates, EdgeBatch):
-            self._ingest_columnar(updates)
-            return
-        degree_counts = self._degree_counts
-        pair_counts = self._pair_counts
-        edge_count = self._edge_count
-        for u, v, delta, edge in updates:
-            edge_count += delta
-            if degree_counts:
-                if u in degree_counts:
-                    degree_counts[u] += delta
-                if v in degree_counts:
-                    degree_counts[v] += delta
-            if pair_counts and edge in pair_counts:
-                pair_counts[edge] += delta
-        self._edge_count = edge_count
-
-        if self._edge_positions:
-            n = self._n
-            self._edge_bank.update_many(
-                [(edge_id(u, v, n), delta) for u, v, delta, _ in updates]
-            )
-        samplers_by_vertex = self._samplers_by_vertex
-        if samplers_by_vertex:
-            # One scan groups the batch by watched endpoint, so S samplers
-            # over the same vertex share the incident list instead of each
-            # rescanning the whole batch.
-            incident: Dict[int, List[Tuple[int, int]]] = {}
-            for u, v, delta, _ in updates:
-                if u in samplers_by_vertex:
-                    incident.setdefault(u, []).append((v, delta))
-                if v in samplers_by_vertex:
-                    incident.setdefault(v, []).append((u, delta))
-            for vertex, pairs in incident.items():
-                for sampler in samplers_by_vertex[vertex]:
-                    self._neighbor_bank.update_many(pairs, sampler)
-
-    def _ingest_columnar(self, batch: EdgeBatch) -> None:
-        """Vectorized ingestion of one columnar batch.
-
-        Counters become filtered grouped sums into flat accumulators;
-        each ℓ0-sampler bank takes the batch in one
+        Counters are filtered grouped sums into their slot arrays; each
+        ℓ0-sampler bank takes the batch in one
         :meth:`~repro.sketch.l0.L0Sampler.update_many_arrays` call —
         the edge bank every edge id, the neighbor bank one ``(sampler,
         neighbor)`` pair per watched endpoint event and sampler
         watching that endpoint.
         """
         self._edge_count += int(batch.delta.sum())
-        if not self._columnar_ready:
-            self._build_columnar_structures()
+        if self._members is None:
+            self._members = self._build_members()
 
-        degree_members = self._degree_members
-        sampler_members = self._sampler_members
+        degree_members, sampler_members = self._members
         if degree_members is not None or sampler_members is not None:
             endpoint, other, index = batch.events()
 
@@ -246,7 +207,7 @@ class TurnstilePassState:
                 mask = degree_members.mask(endpoint)
                 if mask.any():
                     np.add.at(
-                        self._degree_accumulator,
+                        self._degree_counts,
                         degree_members.slots(endpoint[mask]),
                         batch.delta[index[mask]],
                     )
@@ -269,69 +230,29 @@ class TurnstilePassState:
                     )
 
         pair_ids = self._pair_ids
-        if pair_ids is not None:
+        if len(pair_ids):
             ids = batch.edge_ids(self._n)
             mask = sorted_member_mask(pair_ids, ids)
             if mask.any():
                 slots = np.searchsorted(pair_ids, ids[mask])
-                np.add.at(self._pair_accumulator, slots, batch.delta[mask])
+                np.add.at(self._pair_counts, slots, batch.delta[mask])
 
         if self._edge_positions:
             self._edge_bank.update_many_arrays(batch.edge_ids(self._n), batch.delta)
 
-    def _build_columnar_structures(self) -> None:
-        """Lazily build the vectorized-path lookup structures.
+    def _build_members(self) -> tuple:
+        """The per-vertex membership filters ``(degree, sampler)``.
 
-        Transient engineering scratch of the columnar executor,
-        outside the paper's space accounting (which meters the
-        algorithmic state only), allocated exactly once by the first
-        columnar batch — membership filters are scale-aware in ``n``,
-        see :meth:`InsertionPassState._build_columnar_structures`.
+        Transient engineering scratch, outside the paper's space
+        accounting, allocated once per pass by the first batch —
+        scale-aware in ``n``, see
+        :meth:`InsertionPassState._build_members`.
         """
         n = self._n
-        if self._degree_counts:
-            self._degree_members = VertexMembership(self._degree_counts, n)
-            self._degree_accumulator = np.zeros(
-                len(self._degree_members), dtype=np.int64
-            )
-        if self._samplers_by_vertex:
-            members = VertexMembership(self._samplers_by_vertex, n)
-            groups = [self._samplers_by_vertex[v] for v in members.vertices.tolist()]
-            self._sampler_members = members
-            self._sampler_starts = np.cumsum([0] + [len(g) for g in groups])
-            self._sampler_order = np.array(
-                [index for group in groups for index in group], dtype=np.int64
-            )
-        if self._pair_counts:
-            ids = sorted(edge_id(a, b, n) for a, b in self._pair_counts)
-            self._pair_ids = np.array(ids, dtype=np.int64)
-            self._pair_accumulator = np.zeros(len(ids), dtype=np.int64)
-        self._columnar_ready = True
-
-    def _fold_columnar_state(self) -> None:
-        """Fold columnar accumulators back into the scalar dicts (idempotent).
-
-        Shared by :meth:`finish` and :meth:`state_dict`, so captures are
-        backend-agnostic whichever ingestion route fed the pass.
-        """
-        if self._degree_accumulator is not None:
-            accumulator = self._degree_accumulator
-            degree_counts = self._degree_counts
-            for slot, vertex in enumerate(self._degree_members.vertices.tolist()):
-                count = int(accumulator[slot])
-                if count:
-                    degree_counts[vertex] += count
-                    accumulator[slot] = 0
-        if self._pair_accumulator is not None and self._pair_accumulator.any():
-            n = self._n
-            pair_counts = self._pair_counts
-            pair_by_id = {edge_id(a, b, n): (a, b) for a, b in pair_counts}
-            for identifier, count in zip(
-                self._pair_ids.tolist(), self._pair_accumulator.tolist()
-            ):
-                if count:
-                    pair_counts[pair_by_id[identifier]] += count
-            self._pair_accumulator[:] = 0
+        return (
+            VertexMembership(self._degree_vertices, n) if self._degree_vertices else None,
+            VertexMembership(self._watched_vertices, n) if self._watched_vertices else None,
+        )
 
     def merge(self, other: "TurnstilePassState") -> None:
         """Fold another shard's pass state into this one, exactly.
@@ -366,26 +287,16 @@ class TurnstilePassState:
                 self._neighbor_positions,
                 other._neighbor_positions,
             ),
-            degree_vertices=(
-                sorted(self._degree_counts),
-                sorted(other._degree_counts),
-            ),
-            adjacency_pairs=(
-                sorted(self._pair_counts),
-                sorted(other._pair_counts),
-            ),
+            degree_vertices=(self._degree_vertices, other._degree_vertices),
+            adjacency_pairs=(self._pairs, other._pairs),
             edge_count_positions=(
                 self._edge_count_positions,
                 other._edge_count_positions,
             ),
         )
-        self._fold_columnar_state()
-        other._fold_columnar_state()
         self._edge_count += other._edge_count
-        for vertex, count in other._degree_counts.items():
-            self._degree_counts[vertex] += count
-        for pair, count in other._pair_counts.items():
-            self._pair_counts[pair] += count
+        self._degree_counts += other._degree_counts
+        self._pair_counts += other._pair_counts
         self._edge_bank.merge(other._edge_bank)
         self._neighbor_bank.merge(other._neighbor_bank)
 
@@ -397,14 +308,13 @@ class TurnstilePassState:
         coefficients, fingerprint bases, per-level aggregates) — the
         per-sampler layout checkpoints have always used.
         """
-        self._fold_columnar_state()
         return {
             "size": self._size,
             "edge_count": self._edge_count,
-            "degree_counts": dict(self._degree_counts),
-            "pair_counts": sorted(
-                (pair, count) for pair, count in self._pair_counts.items()
+            "degree_counts": dict(
+                zip(self._degree_vertices, self._degree_counts.tolist())
             ),
+            "pair_counts": list(zip(self._pairs, self._pair_counts.tolist())),
             "edge_samplers": [
                 self._edge_bank.sampler_state(s) for s in range(self._edge_bank.samplers)
             ],
@@ -418,10 +328,20 @@ class TurnstilePassState:
         """Restore runtime state into a structurally identical pass."""
         check_state_config("TurnstilePassState", state, size=self._size)
         captured_degrees = state_field("TurnstilePassState", state, "degree_counts")
-        if set(captured_degrees) != set(self._degree_counts):
+        if set(captured_degrees) != set(self._degree_vertices):
             raise CheckpointError(
                 "TurnstilePassState state tracks different degree vertices than "
                 "this pass; the pass was rebuilt from a different query batch"
+            )
+        captured_pairs = {
+            tuple(pair): int(count)
+            for pair, count in state_field("TurnstilePassState", state, "pair_counts")
+        }
+        if set(captured_pairs) != set(self._pairs):
+            raise CheckpointError(
+                f"TurnstilePassState state counts adjacency pairs "
+                f"{sorted(captured_pairs)} but this pass tracks {self._pairs}; "
+                "the pass was rebuilt from a different query batch"
             )
         edge_states = state_field("TurnstilePassState", state, "edge_samplers")
         neighbor_states = state_field("TurnstilePassState", state, "neighbor_samplers")
@@ -434,15 +354,14 @@ class TurnstilePassState:
                 f"{len(neighbor_states)} neighbor samplers; this pass has "
                 f"{edge_bank.samplers} / {neighbor_bank.samplers}"
             )
-        self._fold_columnar_state()
         self._edge_count = int(state_field("TurnstilePassState", state, "edge_count"))
-        self._degree_counts = {
-            vertex: int(count) for vertex, count in captured_degrees.items()
-        }
-        self._pair_counts = {
-            tuple(pair): int(count)
-            for pair, count in state_field("TurnstilePassState", state, "pair_counts")
-        }
+        self._degree_counts = np.array(
+            [int(captured_degrees[vertex]) for vertex in self._degree_vertices],
+            dtype=np.int64,
+        )
+        self._pair_counts = np.array(
+            [captured_pairs[pair] for pair in self._pairs], dtype=np.int64
+        )
         for sampler, captured in enumerate(edge_states):
             edge_bank.load_sampler_state(sampler, captured)
         for sampler, captured in enumerate(neighbor_states):
@@ -450,7 +369,6 @@ class TurnstilePassState:
 
     def finish(self) -> List[Any]:
         """Collect the batch's answers and release the pass's space."""
-        self._fold_columnar_state()
         n = self._n
         answers: List[Any] = [None] * self._size
         for sampler, position in enumerate(self._edge_positions):
@@ -460,12 +378,12 @@ class TurnstilePassState:
             )
         for sampler, (position, _) in enumerate(self._neighbor_positions):
             answers[position] = self._neighbor_bank.sample(sampler)
-        degree_counts = self._degree_counts
-        for position, vertex in self._degree_positions:
-            answers[position] = degree_counts[vertex]
-        pair_counts = self._pair_counts
-        for position, edge in self._adjacency_positions:
-            answers[position] = pair_counts[edge] == 1
+        degree_counts = self._degree_counts.tolist()
+        for position, slot in self._degree_positions:
+            answers[position] = degree_counts[slot]
+        pair_counts = self._pair_counts.tolist()
+        for position, slot in self._adjacency_positions:
+            answers[position] = pair_counts[slot] == 1
         edge_count = self._edge_count
         for position in self._edge_count_positions:
             answers[position] = edge_count
@@ -518,11 +436,10 @@ class TurnstileStreamOracle:
         """Answer one round's batch in a single pass over the stream.
 
         The pass runs over the stream's cached columnar batches
-        (:func:`~repro.streams.stream.pass_batches`), which is
-        bit-identical to the scalar decode it replaces.
+        (:meth:`~repro.streams.stream.CachedBatchStream.batches`).
         """
         state = self.begin_batch(batch)
-        for chunk in pass_batches(self._stream):
+        for chunk in self._stream.batches():
             state.ingest_batch(chunk)
         return state.finish()
 

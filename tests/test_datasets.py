@@ -418,7 +418,7 @@ class TestBigVertexIds:
     def test_big_id_oracle_pass_end_to_end(self):
         # A columnar oracle pass over a stream whose ids exceed 2^32:
         # degree counters and f1 edge reservoirs must behave exactly as
-        # the scalar path (which uses Python ints throughout).
+        # the per-element reference (which uses Python ints throughout).
         from repro.oracle.base import DegreeQuery, EdgeCountQuery, RandomEdgeQuery
         from repro.transform.insertion import InsertionStreamOracle
 
@@ -431,20 +431,13 @@ class TestBigVertexIds:
         ]
         queries = [DegreeQuery(self.BIG), DegreeQuery(3), EdgeCountQuery(),
                    RandomEdgeQuery()]
-        answers = {}
-        for columnar, batch_size in ((False, 2), (True, 2), (True, 3)):
-            stream = EdgeStream(n, updates)
-            oracle = InsertionStreamOracle(stream, rng=17)
-            state = oracle.begin_batch(list(queries))
-            if columnar:
-                for batch in stream.batches(batch_size):
-                    state.ingest_batch(batch)
-            else:
-                from repro.streams.stream import decoded_chunks
+        from reference import ReferenceOracle
 
-                for chunk in decoded_chunks(stream.updates(), batch_size):
-                    state.ingest_batch(chunk)
-            answers[(columnar, batch_size)] = state.finish()
-        baseline = answers[(False, 2)]
+        baseline = ReferenceOracle(EdgeStream(n, updates), rng=17).answer_batch(queries)
         assert baseline[0] == 2 and baseline[1] == 3 and baseline[2] == 4
-        assert all(result == baseline for result in answers.values())
+        for batch_size in (2, 3):
+            stream = EdgeStream(n, updates)
+            state = InsertionStreamOracle(stream, rng=17).begin_batch(list(queries))
+            for batch in stream.batches(batch_size):
+                state.ingest_batch(batch)
+            assert state.finish() == baseline

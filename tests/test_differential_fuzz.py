@@ -4,7 +4,8 @@ Randomized streams (insertion-only and turnstile, with deletions,
 re-inserted edges, adversarial chunkings) are driven through pairs of
 execution paths that the engine guarantees are **bit-identical**:
 
-* scalar vs columnar dispatch,
+* the columnar engine vs the scalar per-element reference of
+  ``tests/reference.py`` (every pass's answers and every estimate),
 * arbitrary batch-size splits and cache policies,
 * fed-live (:class:`repro.engine.live.LiveEngine`) vs one-shot fused,
 * snapshot → restore → continue vs uninterrupted,
@@ -36,6 +37,7 @@ from repro.engine import (
     EstimatorSpec,
     FusionMode,
     LiveEngine,
+    StreamEngine,
     count_subgraphs_insertion_only_fused,
     count_subgraphs_turnstile_fused,
     fgp_insertion_estimator,
@@ -45,6 +47,8 @@ from repro.engine.parallel import build_exact_stream, build_triest
 from repro.errors import StreamError
 from repro.patterns import pattern as zoo
 from repro.streams.stream import EdgeStream, Update
+
+from reference import reference_fgp_run
 
 pytestmark = pytest.mark.fuzz
 
@@ -123,22 +127,30 @@ def test_scalar_vs_columnar(case):
     stream = random_stream(rng, turnstile)
     pattern = zoo.triangle() if rng.random() < 0.7 else zoo.path(3)
     seeds = [rng.randrange(1 << 30) for _ in range(2)]
-    batch_a = rng.randrange(1, 64)
-    batch_b = rng.randrange(1, 64)
-    columnar = _fused(
-        stream, pattern, rng, turnstile,
-        copies=2, trials=6, mode=FusionMode.MIRROR, copy_rngs=list(seeds),
-        batch_size=batch_a, columnar=True,
-    )
-    scalar = _fused(
-        stream, pattern, rng, turnstile,
-        copies=2, trials=6, mode=FusionMode.MIRROR, copy_rngs=list(seeds),
-        batch_size=batch_b, columnar=False,
-    )
-    assert columnar.estimates == scalar.estimates, (
-        f"scalar/columnar divergence (case={case}, base_seed={BASE_SEED}, "
-        f"batch_sizes=({batch_a}, {batch_b}))"
-    )
+    batch_size = rng.randrange(1, 64)
+    factory = fgp_turnstile_estimator if turnstile else fgp_insertion_estimator
+    engine = StreamEngine(stream, batch_size=batch_size)
+    copies = [
+        engine.register(factory(stream, pattern, trials=6, rng=seed, name=f"copy-{i}"))
+        for i, seed in enumerate(seeds)
+    ]
+    report = engine.run()
+    context = f"case={case}, base_seed={BASE_SEED}, batch_size={batch_size}"
+    informative = 0
+    for copy, seed in zip(copies, seeds):
+        estimate, passes = reference_fgp_run(
+            stream, pattern, 6, seed, sampler_repetitions=8 if turnstile else None
+        )
+        assert copy.state_dict()["history"] == passes, (
+            f"{copy.name} pass answers diverge from the reference ({context})"
+        )
+        assert report[copy.name].estimate == estimate, (
+            f"{copy.name} estimate diverges from the reference ({context})"
+        )
+        informative += sum(
+            answer not in (None, 0, False) for answers in passes for answer in answers
+        )
+    assert informative, f"every compared answer is None or zero ({context})"
 
 
 @pytest.mark.parametrize("case", range(CASES_CACHE))
@@ -182,7 +194,6 @@ def test_fed_live_vs_one_shot(case):
         n=stream.n,
         allow_deletions=turnstile,
         batch_size=rng.randrange(1, 64),
-        columnar=rng.random() < 0.75,
     )
     engine.register_spec(EstimatorSpec(
         name="copy-0", factory=factory,

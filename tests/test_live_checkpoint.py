@@ -31,7 +31,18 @@ from repro.engine import (
 from repro.engine.live import CHECKPOINT_MAGIC
 from repro.engine.parallel import build_doulion, build_exact_stream, build_triest
 from repro.errors import CheckpointError, EngineError
+from repro.oracle.base import (
+    AdjacencyQuery,
+    DegreeQuery,
+    EdgeCountQuery,
+    NeighborQuery,
+    RandomEdgeQuery,
+    RandomNeighborQuery,
+)
+from repro.streams.batch import EdgeBatch
 from repro.streams.generators import turnstile_churn_stream
+from repro.transform.insertion import InsertionStreamOracle
+from repro.transform.turnstile import TurnstileStreamOracle
 
 
 def _assert_same_result(left, right):
@@ -517,9 +528,7 @@ class TestCheckpointFormat:
         pattern = patterns.triangle()
         original = fgp_insertion_estimator(stream, pattern, trials=10, rng=4)
         original.begin_pass(0)
-        from repro.streams.stream import pass_batches
-
-        for batch in pass_batches(stream, 64):
+        for batch in stream.batches(64):
             original.ingest_batch(batch)
         original.end_pass()
         state = original.state_dict()
@@ -573,6 +582,114 @@ class TestGoldenCheckpointBackCompat:
         _assert_same_result(result, expected)
         # The estimate the writing code produced for this run.
         assert result.estimate == 568.7117020072649
+
+
+
+def _column_batches(stream, start, stop, size=5):
+    u, v, d = stream.columns()
+    for first in range(start, stop, size):
+        last = min(first + size, stop)
+        yield EdgeBatch(u[first:last], v[first:last], d[first:last])
+
+
+def _golden_insertion_pass():
+    stream = insertion_stream(generators.gnp(12, 0.5, rng=5), rng=6)
+    batch = [
+        RandomEdgeQuery(), RandomEdgeQuery(),
+        RandomNeighborQuery(8), RandomNeighborQuery(8), RandomNeighborQuery(3),
+        DegreeQuery(8), DegreeQuery(2), DegreeQuery(0),
+        NeighborQuery(8, 0), NeighborQuery(8, 3), NeighborQuery(3, 1),
+        NeighborQuery(2, 2), NeighborQuery(1, 50),
+        AdjacencyQuery(2, 9), AdjacencyQuery(10, 3), AdjacencyQuery(0, 11),
+        AdjacencyQuery(0, 1),
+        EdgeCountQuery(),
+    ]
+    return stream, InsertionStreamOracle(stream, rng=7).begin_batch(batch)
+
+
+def _golden_turnstile_pass():
+    stream = turnstile_churn_stream(generators.gnp(12, 0.5, rng=3), churn_edges=10, rng=4)
+    batch = [
+        RandomEdgeQuery(), RandomEdgeQuery(),
+        RandomNeighborQuery(0), RandomNeighborQuery(0), RandomNeighborQuery(4),
+        DegreeQuery(0), DegreeQuery(6),
+        AdjacencyQuery(9, 0), AdjacencyQuery(0, 2), AdjacencyQuery(2, 3),
+        AdjacencyQuery(4, 6), AdjacencyQuery(1, 3),
+        EdgeCountQuery(),
+    ]
+    return stream, TurnstileStreamOracle(stream, rng=8).begin_batch(batch)
+
+
+#: ``state_dict()`` captures of one pass state per oracle, pickled
+#: (protocol 4) after the first half of the stream, in batches of 5,
+#: by the code that still kept a scalar ingest loop beside the columnar
+#: one.  The passes are the ones the two functions above construct; every
+#: query kind the oracle supports is in the batch, so the degree,
+#: adjacency, indexed-neighbor and neighbor-sampler layouts are pinned.
+#: The answers are what the writing code returned for an uninterrupted
+#: pass over the whole stream.
+GOLDEN_PASS_STATES = {
+    "insertion": (
+        _golden_insertion_pass,
+        [(4, 11), (0, 2), 5, 5, 8, 6, 5, 4, 9, 4, 6, 10, None,
+         True, True, True, False, 30],
+    ),
+    "turnstile": (
+        _golden_turnstile_pass,
+        [(2, 8), (2, 3), 10, 10, 8, 4, 3,
+         False, False, True, False, False, 32],
+    ),
+}
+
+
+class TestGoldenPassStateCaptures:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_PASS_STATES))
+    def test_capture_restores_and_continues_bit_identically(self, kind):
+        build, written_answers = GOLDEN_PASS_STATES[kind]
+        path = os.path.join(
+            os.path.dirname(__file__), "data", f"{kind}_pass_state_half.pkl"
+        )
+        with open(path, "rb") as handle:
+            captured = pickle.load(handle)
+
+        stream, uninterrupted = build()
+        for batch in _column_batches(stream, 0, len(stream)):
+            uninterrupted.ingest_batch(batch)
+        expected = uninterrupted.finish()
+        assert expected == written_answers
+
+        stream, restored = build()
+        restored.load_state_dict(captured)
+        assert restored.state_dict() == captured
+        for batch in _column_batches(stream, len(stream) // 2, len(stream)):
+            restored.ingest_batch(batch)
+        assert restored.finish() == expected
+
+
+class TestPassStateRestoreRefusals:
+    """A capture of one query batch never loads into a pass built from another."""
+
+    def test_turnstile_pass_refuses_other_adjacency_pairs(self):
+        stream = turnstile_churn_stream(generators.gnp(8, 0.5, rng=1), churn_edges=3, rng=2)
+        source = TurnstileStreamOracle(stream, rng=3).begin_batch([AdjacencyQuery(0, 1)])
+        target = TurnstileStreamOracle(stream, rng=3).begin_batch([AdjacencyQuery(2, 3)])
+        with pytest.raises(CheckpointError, match="adjacency pairs"):
+            target.load_state_dict(source.state_dict())
+
+    def test_insertion_pass_refuses_untracked_present_pairs(self):
+        graph = generators.gnp(8, 0.5, rng=1)
+        stream = insertion_stream(graph, rng=2)
+        edge = next(iter(graph.edges()))
+        other = next(
+            (a, b) for a in range(8) for b in range(a + 1, 8) if (a, b) != edge
+        )
+        source = InsertionStreamOracle(stream, rng=3).begin_batch([AdjacencyQuery(*edge)])
+        for batch in stream.batches():
+            source.ingest_batch(batch)
+        assert source.state_dict()["present_pairs"] == [edge]
+        target = InsertionStreamOracle(stream, rng=3).begin_batch([AdjacencyQuery(*other)])
+        with pytest.raises(CheckpointError, match="present_pairs"):
+            target.load_state_dict(source.state_dict())
 
 
 class TestEmptyFeed:

@@ -55,12 +55,11 @@ from repro.engine.parallel import (
     build_triest,
     leaked_shm_segments,
     resolve_workers,
-    run_process_engine,
+    run_parallel_engine,
     shard_indices,
 )
 from repro.errors import EngineError
 from repro.streams.generators import turnstile_churn_stream
-from repro.streams.stream import pass_batches
 from repro.utils.rng import derive_rng, derive_seed
 
 
@@ -563,7 +562,7 @@ class TestTeardownHygiene:
         try:
             pool.gather("ready", [0])
             pool.send(0, ("begin_pass", 0))
-            for batch in pass_batches(stream, 64, True):
+            for batch in stream.batches(64):
                 pool.publish_batch([0], batch)
             pool.send(0, ("end_pass",))
             pool.gather("pass_done", [0])
@@ -615,7 +614,7 @@ class TestTeardownHygiene:
         _, stream = _insertion_fixture()
         before = set(leaked_shm_segments())
         plan = FaultPlan(seed=77).kill_worker(0, nth_batch=2)
-        report = run_process_engine(
+        report = run_parallel_engine(
             stream,
             [
                 EstimatorSpec("t0", build_triest,
@@ -623,6 +622,7 @@ class TestTeardownHygiene:
                 EstimatorSpec("t1", build_triest,
                               dict(capacity=60, rng=32, name="t1")),
             ],
+            backend="process",
             workers=2,
             batch_size=64,
             on_worker_loss="degrade",

@@ -2,12 +2,13 @@
 
 The columnar edge-batch pipeline (``repro.streams.batch`` + the
 vectorized sketch kernels) promises *bit-identical* results to the
-scalar reference paths it accelerates.  These tests pin that promise
-down at every layer: the field-arithmetic kernels, the batched sketch
-entry points, the oracle pass states, and the fused engine end to end
-— under seeded fuzz over batch sizes (including 0, 1, and uneven
-splits of the same stream), negative turnstile deltas, and duplicate
-items inside one batch.
+scalar definitions it implements.  These tests pin that promise down
+at every layer: the field-arithmetic kernels and the batched sketch
+entry points against their scalar methods, and the oracle pass states
+and the fused engine end to end against the per-element reference of
+``tests/reference.py`` — under seeded fuzz over batch sizes (including
+0, 1, and uneven splits of the same stream), negative turnstile
+deltas, and duplicate items inside one batch.
 """
 
 import random
@@ -42,13 +43,14 @@ from repro.sketch.hashing import (
     split_sum,
 )
 from repro.sketch.l0 import L0Sampler
-from repro.sketch.onesparse import OneSparseRecovery
 from repro.sketch.reservoir import SkipAheadReservoirBank
 from repro.streams.batch import EdgeBatch, sorted_member_mask
 from repro.streams.generators import turnstile_churn_stream
 from repro.streams.stream import EdgeStream, Update
 from repro.transform.insertion import InsertionStreamOracle
 from repro.transform.turnstile import TurnstileStreamOracle
+
+from reference import ReferenceOracle, reference_fgp_run
 
 
 class TestFieldKernels:
@@ -147,43 +149,6 @@ def _random_updates(rng, universe, count, allow_negative=True):
 
 
 class TestBatchedSketches:
-    @pytest.mark.parametrize("universe", [1, 50, 10**6, 1 << 45])
-    def test_one_sparse_update_many_arrays_matches_scalar(self, universe):
-        rng = random.Random(universe % 997)
-        scalar = OneSparseRecovery(universe, rng=5)
-        vector = OneSparseRecovery(universe, z=scalar.z)
-        updates = _random_updates(rng, universe, 200)
-        scalar.update_many(updates)
-        items = np.array([i for i, _ in updates], dtype=np.int64)
-        deltas = np.array([d for _, d in updates], dtype=np.int64)
-        vector.update_many_arrays(items, deltas)
-        assert scalar._weight == vector._weight
-        assert scalar._weighted_sum == vector._weighted_sum
-        assert scalar._fingerprint == vector._fingerprint
-        assert scalar.recover() == vector.recover()
-
-    def test_one_sparse_large_deltas_fall_back_to_exact_scalar_path(self):
-        # max|delta| × batch beyond 2^31 would wrap the int64 limb sums;
-        # the guard must route such batches to the scalar path instead.
-        universe = 1 << 40
-        scalar = OneSparseRecovery(universe, rng=3)
-        vector = OneSparseRecovery(universe, z=scalar.z)
-        items = [(1 << 32) - 1, (1 << 32) - 1, 7]
-        deltas = [1 << 31, 1 << 31, -(1 << 62)]
-        for item, delta in zip(items, deltas):
-            scalar.update(item, delta)
-        vector.update_many_arrays(
-            np.array(items, dtype=np.int64), np.array(deltas, dtype=np.int64)
-        )
-        assert scalar._weight == vector._weight
-        assert scalar._weighted_sum == vector._weighted_sum
-        assert scalar._fingerprint == vector._fingerprint
-
-    def test_one_sparse_empty_batch_is_noop(self):
-        sketch = OneSparseRecovery(100, rng=1)
-        sketch.update_many_arrays(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert sketch.is_empty
-
     @pytest.mark.parametrize("split", [[200], [1, 199], [0, 77, 123], [200] * 1])
     def test_l0_update_many_arrays_matches_scalar_across_splits(self, split):
         universe = 5000
@@ -210,6 +175,20 @@ class TestBatchedSketches:
         # Every level's weight, weighted sum and fingerprint, per repetition.
         assert scalar.state_dict() == vector.state_dict()
         assert scalar.sample() == vector.sample()
+
+    def test_l0_large_deltas_take_the_exact_path(self):
+        # max|delta| × batch beyond 2^30 could wrap the int64 limb sums;
+        # the guard must route such batches to the exact scalar path.
+        items = [(1 << 31) - 1, 7, (1 << 31) - 1]
+        deltas = [1 << 29, 1 << 29, -(1 << 29)]
+        scalar = L0Sampler(1 << 40, rng=3, repetitions=2)
+        vector = L0Sampler(1 << 40, rng=3, repetitions=2)
+        scalar.update_many(zip(items, deltas))
+        vector.update_many_arrays(
+            np.array(items, dtype=np.int64), np.array(deltas, dtype=np.int64)
+        )
+        assert scalar.state_dict() == vector.state_dict()
+        assert scalar.sample() == vector.sample() == 7
 
     def test_l0_update_many_arrays_validates_universe(self):
         sampler = L0Sampler(10, rng=1, repetitions=1)
@@ -255,15 +234,11 @@ def _query_mix(rng, n):
     return batch
 
 
-def _feed(state, stream, batch_size, columnar):
-    if columnar:
-        for chunk in stream.batches(batch_size):
-            state.ingest_batch(chunk)
-    else:
-        from repro.streams.stream import decoded_chunks
-
-        for chunk in decoded_chunks(stream.updates(), batch_size):
-            state.ingest_batch(chunk)
+def _answers(oracle, queries, stream, batch_size):
+    """One production pass over *stream* in batches of *batch_size*."""
+    state = oracle.begin_batch(queries)
+    for chunk in stream.batches(batch_size):
+        state.ingest_batch(chunk)
     return state.finish()
 
 
@@ -274,12 +249,8 @@ class TestOraclePassStates:
         graph = generators.gnp(40, 0.2, rng=1)
         stream = insertion_stream(graph, rng=2)
         queries = _query_mix(rng, stream.n)
-        answers = {}
-        for columnar in (False, True):
-            oracle = InsertionStreamOracle(stream, rng=77)
-            state = oracle.begin_batch(queries)
-            answers[columnar] = _feed(state, stream, batch_size, columnar)
-        assert answers[False] == answers[True]
+        columnar = _answers(InsertionStreamOracle(stream, rng=77), queries, stream, batch_size)
+        assert columnar == ReferenceOracle(stream, rng=77).answer_batch(queries)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 4096])
     def test_turnstile_pass_state_scalar_vs_columnar(self, batch_size):
@@ -294,12 +265,10 @@ class TestOraclePassStates:
             AdjacencyQuery(0, 1),
             RandomNeighborQuery(rng.randrange(stream.n)),
         ]
-        answers = {}
-        for columnar in (False, True):
-            oracle = TurnstileStreamOracle(stream, rng=31, sampler_repetitions=4)
-            state = oracle.begin_batch(queries)
-            answers[columnar] = _feed(state, stream, batch_size, columnar)
-        assert answers[False] == answers[True]
+        oracle = TurnstileStreamOracle(stream, rng=31, sampler_repetitions=4)
+        columnar = _answers(oracle, queries, stream, batch_size)
+        reference = ReferenceOracle(stream, rng=31, sampler_repetitions=4)
+        assert columnar == reference.answer_batch(queries)
 
     def test_empty_stream_pass_state(self):
         stream = EdgeStream(5, [], allow_deletions=True)
@@ -309,94 +278,57 @@ class TestOraclePassStates:
             state.ingest_batch(chunk)
         assert state.finish() == [0, None]
 
-    def test_mixed_scalar_and_columnar_chunks_in_one_pass(self):
-        # Feeding the same pass state tuple chunks AND EdgeBatch chunks
-        # must agree with an all-scalar feed (the accumulators merge).
-        graph = generators.gnp(25, 0.3, rng=9)
-        stream = insertion_stream(graph, rng=10)
-        queries = _query_mix(random.Random(0), stream.n)
-        oracle_a = InsertionStreamOracle(stream, rng=5)
-        state_a = oracle_a.begin_batch(queries)
-        tuples = [
-            (u.u, u.v, u.delta, u.edge) for u in stream._updates
-        ]
-        half = len(tuples) // 2
-        batch_objects = list(stream.batches())  # counts one pass
-        state_a.ingest_batch(tuples[:half])
-        state_a.ingest_batch(EdgeBatch.from_tuples(tuples[half:]))
-        answers_mixed = state_a.finish()
-
-        oracle_b = InsertionStreamOracle(stream, rng=5)
-        state_b = oracle_b.begin_batch(queries)
-        state_b.ingest_batch(tuples)
-        assert answers_mixed == state_b.finish()
-        assert batch_objects  # cache is primed and reused
-
 
 class TestEndToEnd:
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 100_000])
     def test_fused_insertion_scalar_vs_columnar_engine(self, batch_size):
         graph = generators.barabasi_albert(150, 4, rng=11)
         stream = insertion_stream(graph, rng=12)
-        results = {}
-        for columnar in (False, True):
-            engine = StreamEngine(stream, batch_size=batch_size, columnar=columnar)
-            engine.register(
-                fgp_insertion_estimator(
-                    stream, patterns.triangle(), trials=40, rng=61, name="fgp"
-                )
-            )
-            results[columnar] = engine.run()["fgp"]
-        assert results[False].estimate == results[True].estimate
-        assert results[False].details == results[True].details
+        engine = StreamEngine(stream, batch_size=batch_size)
+        fgp = engine.register(
+            fgp_insertion_estimator(stream, patterns.triangle(), trials=40, rng=61, name="fgp")
+        )
+        result = engine.run()["fgp"]
+        estimate, passes = reference_fgp_run(stream, patterns.triangle(), 40, 61)
+        assert result.estimate == estimate
+        assert fgp.state_dict()["history"] == passes
 
     def test_fused_turnstile_scalar_vs_columnar_engine(self):
         graph = generators.gnp(30, 0.3, rng=13)
         stream = turnstile_churn_stream(graph, churn_edges=20, rng=14)
-        results = {}
-        for columnar in (False, True):
-            engine = StreamEngine(stream, batch_size=13, columnar=columnar)
-            engine.register(
-                fgp_turnstile_estimator(
-                    stream, patterns.triangle(), trials=8, rng=71, name="fgp"
-                )
-            )
-            results[columnar] = engine.run()["fgp"]
-        assert results[False].estimate == results[True].estimate
+        engine = StreamEngine(stream, batch_size=13)
+        fgp = engine.register(
+            fgp_turnstile_estimator(stream, patterns.triangle(), trials=8, rng=71, name="fgp")
+        )
+        result = engine.run()["fgp"]
+        estimate, passes = reference_fgp_run(
+            stream, patterns.triangle(), 8, 71, sampler_repetitions=8
+        )
+        assert result.estimate == estimate
+        assert fgp.state_dict()["history"] == passes
 
-    def test_fused_entry_point_columnar_flag_is_bit_invariant(self):
+    def test_fused_entry_point_matches_reference(self):
         graph = generators.barabasi_albert(120, 4, rng=21)
         stream = insertion_stream(graph, rng=22)
-        runs = [
-            count_subgraphs_insertion_only_fused(
-                stream,
-                patterns.triangle(),
-                copies=3,
-                trials=25,
-                rng=5,
-                mode="mirror",
-                columnar=columnar,
-            )
-            for columnar in (False, True)
+        seeds = [5, 6, 7]
+        fused = count_subgraphs_insertion_only_fused(
+            stream, patterns.triangle(), copies=3, trials=25, copy_rngs=seeds, mode="mirror"
+        )
+        assert fused.estimates == [
+            reference_fgp_run(stream, patterns.triangle(), 25, seed)[0] for seed in seeds
         ]
-        assert runs[0].estimates == runs[1].estimates
 
-    def test_fused_turnstile_entry_point_columnar_flag_is_bit_invariant(self):
+    def test_fused_turnstile_entry_point_matches_reference(self):
         graph = generators.gnp(25, 0.3, rng=23)
         stream = turnstile_churn_stream(graph, churn_edges=15, rng=24)
-        runs = [
-            count_subgraphs_turnstile_fused(
-                stream,
-                patterns.triangle(),
-                copies=2,
-                trials=6,
-                rng=7,
-                mode="mirror",
-                columnar=columnar,
-            )
-            for columnar in (False, True)
+        seeds = [7, 8]
+        fused = count_subgraphs_turnstile_fused(
+            stream, patterns.triangle(), copies=2, trials=6, copy_rngs=seeds, mode="mirror"
+        )
+        assert fused.estimates == [
+            reference_fgp_run(stream, patterns.triangle(), 6, seed, sampler_repetitions=8)[0]
+            for seed in seeds
         ]
-        assert runs[0].estimates == runs[1].estimates
 
     def test_process_backend_ships_columnar_batches_bit_identically(self):
         graph = generators.barabasi_albert(100, 4, rng=31)
@@ -467,7 +399,4 @@ class TestEdgeBatch:
         assert stream.passes_used == 2
         assert all(a is b for a, b in zip(first, second))  # cached objects
         flat = [tup for batch in first for tup in batch]
-        from repro.streams.stream import decoded_chunks
-
-        reference = [tup for chunk in decoded_chunks(stream.updates(), 7) for tup in chunk]
-        assert flat == reference
+        assert flat == [(u.u, u.v, u.delta, u.edge) for u in stream.updates()]
