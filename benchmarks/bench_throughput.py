@@ -242,8 +242,9 @@ def test_throughput_serial_vs_parallel_backend(benchmark, capsys):
     """The thread and process backends vs serial at K=32 (mirror mode).
 
     One fused mirror-mode run per row, identical seeds throughout, so
-    every row's estimate is the same number and the table isolates
-    *execution* cost: the serial row is the in-process dispatch loop,
+    every row's estimate is the same nonzero number (a triangle-dense
+    ``power_law_cluster`` graph; most copies see a success) and the
+    table isolates *execution* cost: the serial row is the in-process dispatch loop,
     the thread rows add queue hops (by-reference handoff, no copies),
     the process rows add the shared-memory ring transport — each batch
     packed once, every worker handed a slot reference — and divide the
@@ -259,8 +260,8 @@ def test_throughput_serial_vs_parallel_backend(benchmark, capsys):
     wall-clock second, as in the fused-vs-sequential table above.
     Results land in ``benchmarks/results/throughput_parallel.json``.
     """
-    graph = gen.barabasi_albert(8000, 5, rng=11)
-    trials_per_copy = 200
+    graph = gen.power_law_cluster(2000, 5, 0.8, 11)
+    trials_per_copy = 800
     copies = 32
     pattern = zoo.triangle()
     ensemble_elements = copies * 3 * graph.m
@@ -291,6 +292,7 @@ def test_throughput_serial_vs_parallel_backend(benchmark, capsys):
         return result, seconds
 
     serial, serial_seconds = run_fused("serial")
+    assert serial.estimate > 0
     table.add_row("serial", 1, serial_seconds,
                   ensemble_elements / serial_seconds, 1.0, True,
                   serial.estimate)

@@ -328,6 +328,7 @@ def _count(args: argparse.Namespace) -> int:
             backend=backend,
             workers=args.workers,
             batch_size=args.batch_size or DEFAULT_BATCH_SIZE,
+            cache=cache,
         )
     elif fused:
         # Median-of-K amplification through the fused engine; on the

@@ -51,12 +51,22 @@ and ``process`` shard the registered estimator *specs* across a worker
 pool while this process keeps the single stream iteration and
 publishes the decoded batches — by reference to threads, through a
 shared-memory batch ring to processes (:mod:`repro.engine.parallel`).
+
+Two pass drivers run every batch pass of the package.  The in-process
+loop here (``_drive_local``) feeds ``replicas[s][k]`` from source
+``s``: one source is the serial engine, several sources are the
+serial and thread backends of :class:`~repro.engine.sharded.ShardedRunner`,
+whose replicas merge into shard 0 before the pass closes.  The pool
+loop (``_drive_pool`` in :mod:`repro.engine.parallel`) publishes each
+source's batches to worker processes or threads instead.
 """
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError, StreamError
 from repro.streams.batch import EdgeBatch
@@ -159,6 +169,137 @@ class EngineBackend:
     _ALL = (SERIAL, THREAD, PROCESS)
 
 
+def check_engine_config(
+    batch_size,
+    backend: str = EngineBackend.SERIAL,
+    max_passes: int = 0,
+    on_worker_loss: str = "abort",
+) -> int:
+    """Validate the options the engine drivers share; returns the batch size."""
+    try:
+        batch_size = check_batch_size(batch_size)
+    except StreamError as error:
+        raise EngineError(str(error)) from error
+    if backend not in EngineBackend._ALL:
+        raise EngineError(
+            f"unknown backend {backend!r}; expected one of {EngineBackend._ALL}"
+        )
+    if max_passes < 0:
+        raise EngineError(f"max_passes must be >= 0, got {max_passes}")
+    if on_worker_loss not in ("abort", "degrade"):
+        raise EngineError(
+            f"on_worker_loss must be 'abort' or 'degrade', got {on_worker_loss!r}"
+        )
+    return batch_size
+
+
+@dataclass
+class PassCounts:
+    """What a pass driver counted over one run (see :class:`EngineReport`)."""
+
+    passes: int = 0
+    elements: int = 0
+    dispatches: int = 0
+    merge_seconds: float = 0.0
+
+    def check_max_passes(self, max_passes: int, waiting: str) -> None:
+        """Raise if another pass would exceed *max_passes* (0: no cap)."""
+        if max_passes and self.passes >= max_passes:
+            raise EngineError(
+                f"{waiting} still want passes after max_passes={max_passes}"
+            )
+
+
+def _drive_local(
+    sources: Sequence,
+    replicas: Sequence[Sequence[Any]],
+    batch_size: int,
+    max_passes: int,
+    threads: int = 1,
+) -> PassCounts:
+    """The in-process pass loop: ``replicas[s][k]`` is fed by ``sources[s]``.
+
+    A pass opens on every replica of each estimator that still wants
+    one (as shard 0's replica says), feeds each source's batches to its
+    own replica set, and closes per estimator: shard 0's replica merges
+    the other shards' replicas, ends the pass, and the others adopt its
+    answers.  With one source that close is a plain ``end_pass``.
+    ``merge_seconds`` times the closes.  With ``threads > 1`` thread
+    ``t`` feeds sources ``t, t+T, ...`` concurrently; every replica is
+    touched by one thread only.
+    """
+    counts = PassCounts()
+    primaries = replicas[0]
+    while True:
+        active = [k for k, estimator in enumerate(primaries) if estimator.wants_pass()]
+        if not active:
+            return counts
+        counts.check_max_passes(
+            max_passes, "estimators " + ", ".join(primaries[k].name for k in active)
+        )
+        grid = [[shard[k] for k in active] for shard in replicas]
+        for shard in grid:
+            for estimator in shard:
+                estimator.begin_pass(counts.passes)
+        for elements, batches in _feed_sources(sources, grid, batch_size, threads):
+            counts.elements += elements
+            counts.dispatches += batches * len(active)
+        close_start = time.perf_counter()
+        for primary, *others in zip(*grid):
+            for other in others:
+                primary.merge(other)
+            answers = primary.end_pass()
+            for other in others:
+                other.end_pass_adopting(answers)
+        counts.merge_seconds += time.perf_counter() - close_start
+        counts.passes += 1
+
+
+def _feed_sources(
+    sources: Sequence, grid: Sequence[Sequence[Any]], batch_size: int, threads: int
+) -> List[Tuple[int, int]]:
+    """One pass of every source into its replicas: ``(elements, batches)`` each.
+
+    The first feeder error re-raises in the caller, after every feeder
+    thread joined.
+    """
+
+    def feed(shard: int) -> Tuple[int, int]:
+        elements = batches = 0
+        for batch in sources[shard].batches(batch_size):
+            elements += len(batch)
+            batches += 1
+            for estimator in grid[shard]:
+                estimator.ingest_batch(batch)
+        return elements, batches
+
+    if threads <= 1 or len(sources) == 1:
+        return [feed(shard) for shard in range(len(sources))]
+    counts: List[Tuple[int, int]] = [(0, 0)] * len(sources)
+    errors: List[BaseException] = []
+
+    def feed_every(first: int) -> None:
+        try:
+            for shard in range(first, len(sources), threads):
+                counts[shard] = feed(shard)
+        except BaseException as error:  # noqa: BLE001 - re-raised below
+            errors.append(error)
+
+    feeders = [
+        threading.Thread(
+            target=feed_every, args=(index,), name=f"shard-feeder-{index}", daemon=True
+        )
+        for index in range(min(threads, len(sources)))
+    ]
+    for feeder in feeders:
+        feeder.start()
+    for feeder in feeders:
+        feeder.join()
+    if errors:
+        raise errors[0]
+    return counts
+
+
 class StreamEngine:
     """Fused single-iteration executor for K independent estimators.
 
@@ -219,21 +360,9 @@ class StreamEngine:
         on_worker_loss: str = "abort",
         fault_plan=None,
     ) -> None:
-        try:
-            batch_size = check_batch_size(batch_size)
-        except StreamError as error:
-            raise EngineError(str(error)) from error
-        if max_passes < 0:
-            raise EngineError(f"max_passes must be >= 0, got {max_passes}")
-        if backend not in EngineBackend._ALL:
-            raise EngineError(
-                f"unknown backend {backend!r}; expected one of {EngineBackend._ALL}"
-            )
-        if on_worker_loss not in ("abort", "degrade"):
-            raise EngineError(
-                f"on_worker_loss must be 'abort' or 'degrade', "
-                f"got {on_worker_loss!r}"
-            )
+        batch_size = check_engine_config(
+            batch_size, backend, max_passes, on_worker_loss
+        )
         self._stream = stream
         self._batch_size = batch_size
         self._reset_pass_count = reset_pass_count
@@ -331,11 +460,11 @@ class StreamEngine:
     def run(self) -> EngineReport:
         """Drive every registered estimator to completion.
 
-        Serial backend: iterates the stream once per fused pass and
-        feeds each decoded batch to every estimator that is still
-        consuming passes.  Thread/process backends: delegate the same
-        loop to :func:`repro.engine.parallel.run_parallel_engine`,
-        publishing each batch to the worker pool.
+        Serial backend: the in-process pass driver iterates the stream
+        once per fused pass and feeds each decoded batch to every
+        estimator that is still consuming passes.  Thread/process
+        backends: :func:`repro.engine.parallel.run_parallel_engine`
+        runs the pool driver, publishing each batch to the workers.
         """
         if self._started or self._ran:
             raise EngineError("engine already ran; build a new one per run")
@@ -365,36 +494,14 @@ class StreamEngine:
         apply_cache_policy(self._stream, self._cache)
         if self._reset_pass_count:
             self._stream.reset_pass_count()
-
-        passes = 0
-        elements = 0
-        dispatches = 0
-        while True:
-            active = [e for e in self._estimators if e.wants_pass()]
-            if not active:
-                break
-            if self._max_passes and passes >= self._max_passes:
-                names = ", ".join(e.name for e in active)
-                raise EngineError(
-                    f"estimators still want passes after max_passes="
-                    f"{self._max_passes}: {names}"
-                )
-            for estimator in active:
-                estimator.begin_pass(passes)
-            for batch in self._stream.batches(self._batch_size):
-                elements += len(batch)
-                for estimator in active:
-                    estimator.ingest_batch(batch)
-                    dispatches += 1
-            for estimator in active:
-                estimator.end_pass()
-            passes += 1
-
+        counts = _drive_local(
+            [self._stream], [self._estimators], self._batch_size, self._max_passes
+        )
         self._ran = True
         return EngineReport(
             results={e.name: e.result() for e in self._estimators},
-            passes=passes,
-            elements=elements,
-            dispatches=dispatches,
+            passes=counts.passes,
+            elements=counts.elements,
+            dispatches=counts.dispatches,
             batch_size=self._batch_size,
         )

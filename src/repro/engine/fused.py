@@ -44,15 +44,25 @@ Orthogonally to the fusion mode, every entry point takes a
     into one oracle (deterministic given ``(rng, workers)``, identical
     between the two parallel backends for the same pool size).  CLI:
     ``repro count --backend thread|process --workers N``.
+
+Every backend runs the same spec list: mirror mode registers one
+:class:`~repro.engine.parallel.EstimatorSpec` per copy, shared mode one
+:func:`build_shared_fgp_shard` spec per group of copies (one group of
+all K copies on the serial backend, one per worker otherwise).  The
+serial engine builds the specs against the real stream; the pools
+ship them to the workers.  The sharded count
+(:func:`~repro.engine.sharded.count_subgraphs_turnstile_sharded`)
+reuses the mirror path and only swaps the engine for a
+:class:`~repro.engine.sharded.ShardedRunner`.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.core import DEFAULT_BATCH_SIZE, EngineBackend, StreamEngine
+from repro.engine.core import DEFAULT_BATCH_SIZE, EngineBackend, EngineReport, StreamEngine
 from repro.engine.estimators import (
     RoundAdaptiveEstimator,
     fgp_insertion_estimator,
@@ -70,7 +80,7 @@ from repro.streaming.two_pass import require_star_decomposable
 from repro.streams.stream import EdgeStream
 from repro.transform.insertion import InsertionStreamOracle
 from repro.transform.turnstile import TurnstileStreamOracle
-from repro.utils.rng import RandomSource, derive_rng, derive_seed, ensure_rng
+from repro.utils.rng import RandomSource, derive_seed, ensure_rng
 
 __all__ = [
     "FusionMode",
@@ -135,80 +145,22 @@ class FusedCountResult:
         return " ".join(parts)
 
 
-def _check_fused_args(copies: int, mode: str, copy_rngs, backend: str) -> None:
-    if copies < 1:
-        raise EstimationError(f"copies must be >= 1, got {copies}")
-    if mode not in FusionMode._ALL:
-        raise EngineError(f"unknown fusion mode {mode!r}; expected one of {FusionMode._ALL}")
-    if backend not in EngineBackend._ALL:
-        raise EngineError(
-            f"unknown backend {backend!r}; expected one of {EngineBackend._ALL}"
-        )
-    if copy_rngs is not None and len(copy_rngs) != copies:
-        raise EstimationError(
-            f"copy_rngs carries {len(copy_rngs)} entries for {copies} copies"
-        )
-
-
-def _run_mirror(
-    stream: EdgeStream,
-    copies: int,
-    batch_size: int,
-    copy_rngs: Sequence,
-    factory: Callable[[RandomSource, str], RoundAdaptiveEstimator],
-    spec_factory: Callable[[RandomSource, str], EstimatorSpec],
-    backend: str,
-    workers,
-    start_method,
-    cache,
-) -> tuple:
-    """Register one fully independent estimator per copy and run fused.
-
-    With the parallel backends, registration goes through picklable
-    specs: each worker rebuilds its shard of copies from ``(pattern,
-    trials, rng)`` and the copies' full independence makes the result
-    identical to the serial backend for the same ``copy_rngs`` —
-    whatever the worker count or pool flavour.
-    """
-    engine = StreamEngine(
-        stream,
-        batch_size=batch_size,
-        backend=backend,
-        workers=workers,
-        start_method=start_method,
-        cache=cache,
-    )
-    names = [f"copy-{index}" for index in range(copies)]
-    for index, name in enumerate(names):
-        if backend != EngineBackend.SERIAL:
-            engine.register_spec(spec_factory(copy_rngs[index], name))
-        else:
-            engine.register(factory(copy_rngs[index], name))
-    report = engine.run()
-    return [report.results[name] for name in names], report
-
-
-def _run_shared(
-    stream: EdgeStream,
-    copies: int,
-    trials: int,
-    batch_size: int,
-    oracle,
-    make_generator: Callable[[int, int], object],
-    finalize_copies: Callable,
-    cache,
-) -> tuple:
-    """Merge all copies' generators into one oracle and run fused."""
-    generators = [
-        make_generator(copy, trial)
-        for copy in range(copies)
-        for trial in range(trials)
-    ]
-    estimator = RoundAdaptiveEstimator("fused", generators, oracle, finalize_copies)
-    engine = StreamEngine(stream, batch_size=batch_size, cache=cache)
-    engine.register(estimator)
-    report = engine.run()
-    return report.results["fused"], report
+#: Per counter kind: the mirror-copy estimator factory, the algorithm
+#: label, and the sampler mode and options of its shared-mode generators.
+_KINDS: Dict[str, Tuple[Callable, str, str, Dict]] = {
+    "insertion": (
+        fgp_insertion_estimator, "fgp-3pass-insertion", SamplerMode.AUGMENTED, {}
+    ),
+    "turnstile": (
+        fgp_turnstile_estimator, "fgp-3pass-turnstile", SamplerMode.RELAXED, {}
+    ),
+    "two_pass": (
+        fgp_two_pass_estimator,
+        "fgp-2pass-insertion",
+        SamplerMode.AUGMENTED,
+        {"skip_empty_wedge_round": True},
+    ),
+}
 
 
 def _shared_fgp_finalize(
@@ -277,22 +229,17 @@ def build_shared_fgp_shard(
     sampler_kwargs: Dict,
     sampler_repetitions: int = 8,
 ) -> RoundAdaptiveEstimator:
-    """Spec factory: one worker's shard of a shared-mode fused run.
+    """Spec factory: one merged oracle for a group of shared-mode copies.
 
-    Rebuilds, inside the worker, what :func:`_run_shared` builds in the
-    driver for the serial backend — one merged oracle plus
-    ``len(copy_indices) × trials`` sampler generators — except the
-    oracle spans only this shard's copies.  ``trial_seeds[j][t]`` seeds
-    copy ``copy_indices[j]``'s trial *t* (ints from
-    :func:`~repro.utils.rng.derive_seed`, or any ``RandomSource``); the
-    driver derives them in global copy-major order *before* any
-    shard-dependent derivation, so every copy consumes the same sampler
-    randomness however the copies are sharded (only the per-shard
-    oracle randomness depends on the worker count).
-    ``sampler_mode``/``sampler_kwargs`` are forwarded verbatim from the
-    fused entry point, so the serial and sharded shared paths cannot
-    drift apart; ``kind`` only selects the oracle class
-    (``"turnstile"`` vs the insertion oracle).
+    Builds one oracle plus ``len(copy_indices) × trials`` sampler
+    generators: over all K copies for the serial backend, over one
+    worker's group of copies for the parallel backends.
+    ``trial_seeds[j][t]`` seeds copy ``copy_indices[j]``'s trial *t*
+    (ints from :func:`~repro.utils.rng.derive_seed`, or any
+    ``RandomSource``).  ``sampler_mode``/``sampler_kwargs`` are
+    forwarded verbatim from the fused entry point, so the serial and
+    sharded shared paths cannot drift apart; ``kind`` only selects the
+    oracle class (``"turnstile"`` vs the insertion oracle).
     """
     if kind == "turnstile":
         oracle = TurnstileStreamOracle(
@@ -313,91 +260,111 @@ def build_shared_fgp_shard(
     return RoundAdaptiveEstimator(name, generators, oracle, finalize)
 
 
-def _run_shared_sharded(
-    stream: EdgeStream,
-    copies: int,
+def _mirror_specs(
+    kind: str, pattern: Pattern, trials: int, copy_rngs: Sequence, sampler_repetitions: int
+) -> List[EstimatorSpec]:
+    """One fully independent estimator per copy.
+
+    Every copy gets the already-resolved budget, so the reported
+    ``trials_per_copy`` cannot drift from what the copies ran.  The
+    copies' full independence makes any backend, worker count or shard
+    count return the serial estimates for the same ``copy_rngs``.
+    """
+    factory = _KINDS[kind][0]
+    extra = {"sampler_repetitions": sampler_repetitions} if kind == "turnstile" else {}
+    return [
+        EstimatorSpec(
+            name=f"copy-{index}",
+            factory=factory,
+            kwargs=dict(
+                pattern=pattern, trials=trials, rng=copy_rng, name=f"copy-{index}", **extra
+            ),
+        )
+        for index, copy_rng in enumerate(copy_rngs)
+    ]
+
+
+def _shared_specs(
+    kind: str,
+    pattern: Pattern,
     trials: int,
-    batch_size: int,
+    copies: int,
+    master,
     backend: str,
     workers,
-    start_method,
-    master,
-    kind: str,
-    algorithm: str,
-    pattern: Pattern,
-    sampler_mode: str,
-    sampler_kwargs: Dict,
     sampler_repetitions: int,
-    cache,
-) -> tuple:
-    """Shard a shared-mode run across a worker pool (thread or process).
+) -> List[EstimatorSpec]:
+    """One merged-oracle estimator per group of copies.
 
-    Each worker owns one merged oracle for its contiguous shard of
-    copies, so deterministic aggregates are computed once per *shard*
-    instead of once per copy — W oracles total instead of K.  Copies
-    stay independent in distribution; the estimates are a deterministic
-    function of ``(rng, copies, trials, workers)`` — identical between
-    the thread and process backends, since all randomness is derived
-    driver-side before sharding — but, unlike mirror mode, not
-    bit-identical to the serial shared run, whose single oracle spans
-    all K copies.
+    The serial backend merges all K copies into one oracle (spec
+    ``"fused"``); the parallel backends give each worker one oracle for
+    its contiguous group (specs ``"shard-i"``), so the estimates depend
+    on ``(rng, workers)`` but not on the pool flavour.  Serial seeds are
+    derived oracle first, then the trials copy by copy; parallel seeds
+    trials first, in global copy-major order, so only the group oracles
+    vary with the pool size.
     """
-    pool = resolve_workers(workers, copies)
-    shards = shard_indices(copies, pool)
-    # Sampler seeds first, in global copy-major order: their derivation
-    # consumes master bits worker-count-independently, so only the
-    # shard oracles (derived below) vary with the pool size.  Plain
-    # ints ship to the workers instead of pickled generator states.
+    _, algorithm, sampler_mode, sampler_kwargs = _KINDS[kind]
+    serial = backend == EngineBackend.SERIAL
+    if serial:
+        oracle_seeds = [derive_seed(master, "oracle")]
     trial_seeds = [
         [derive_seed(master, f"copy-{copy}-trial-{trial}") for trial in range(trials)]
         for copy in range(copies)
     ]
-    oracle_seeds = [
-        derive_seed(master, f"oracle-shard-{shard}") for shard in range(len(shards))
-    ]
-    engine = StreamEngine(
-        stream,
-        batch_size=batch_size,
-        backend=backend,
-        workers=pool,
-        start_method=start_method,
-        cache=cache,
-    )
-    for shard, indices in enumerate(shards):
-        engine.register_spec(
-            EstimatorSpec(
-                name=f"shard-{shard}",
-                factory=build_shared_fgp_shard,
-                kwargs=dict(
-                    kind=kind,
-                    algorithm=algorithm,
-                    pattern=pattern,
-                    trials=trials,
-                    copy_indices=indices,
-                    trial_seeds=[trial_seeds[copy] for copy in indices],
-                    oracle_seed=oracle_seeds[shard],
-                    name=f"shard-{shard}",
-                    sampler_mode=sampler_mode,
-                    sampler_kwargs=sampler_kwargs,
-                    sampler_repetitions=sampler_repetitions,
-                ),
-            )
+    if serial:
+        groups, names = [list(range(copies))], ["fused"]
+    else:
+        groups = shard_indices(copies, resolve_workers(workers, copies))
+        oracle_seeds = [
+            derive_seed(master, f"oracle-shard-{group}") for group in range(len(groups))
+        ]
+        names = [f"shard-{group}" for group in range(len(groups))]
+    return [
+        EstimatorSpec(
+            name=name,
+            factory=build_shared_fgp_shard,
+            kwargs=dict(
+                kind=kind,
+                algorithm=algorithm,
+                pattern=pattern,
+                trials=trials,
+                copy_indices=indices,
+                trial_seeds=[trial_seeds[copy] for copy in indices],
+                oracle_seed=oracle_seed,
+                name=name,
+                sampler_mode=sampler_mode,
+                sampler_kwargs=sampler_kwargs,
+                sampler_repetitions=sampler_repetitions,
+            ),
         )
-    report = engine.run()
-    copy_results = [
-        result
-        for shard in range(len(shards))
-        for result in report.results[f"shard-{shard}"]
+        for name, indices, oracle_seed in zip(names, groups, oracle_seeds)
     ]
-    ensemble_space = sum(
-        int(report.results[f"shard-{shard}"][0].details["shard_space_words"])
-        for shard in range(len(shards))
-    )
-    return copy_results, report, ensemble_space
+
+
+def _engine_runner(stream, batch_size, backend, workers, start_method, cache) -> Callable:
+    """Run a spec list on one :class:`StreamEngine` over *stream*."""
+
+    def run_specs(specs: List[EstimatorSpec]) -> EngineReport:
+        engine = StreamEngine(
+            stream,
+            batch_size=batch_size,
+            backend=backend,
+            workers=workers,
+            start_method=start_method,
+            cache=cache,
+        )
+        for spec in specs:
+            engine.register_spec(spec)
+        return engine.run()
+
+    return run_specs
 
 
 def _fused_fgp_count(
-    stream: EdgeStream,
+    kind: str,
+    metadata,
+    run_specs: Callable[[List[EstimatorSpec]], EngineReport],
     pattern: Pattern,
     copies: int,
     epsilon: float,
@@ -407,26 +374,29 @@ def _fused_fgp_count(
     copy_rngs,
     param_mode: str,
     mode: str,
-    batch_size: int,
     backend: str,
     workers,
-    start_method,
-    kind: str,
-    algorithm: str,
-    mirror_factory: Callable,
-    mirror_spec_factory: Callable,
-    shared_oracle_factory: Callable,
-    sampler_mode: str,
-    sampler_kwargs: Dict,
     sampler_repetitions: int = 8,
-    cache=None,
-) -> FusedCountResult:
-    """Common driver behind the three fused entry points."""
-    _check_fused_args(copies, mode, copy_rngs, backend)
-    master = ensure_rng(rng)
-    k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
+) -> Tuple[FusedCountResult, EngineReport]:
+    """Common driver behind the fused and sharded entry points.
 
-    ensemble_space = None
+    Resolves the per-copy trial budget once against *metadata* (the
+    stream, or a sharded run's union handle), builds the copies' specs,
+    runs them through *run_specs* and takes the median.  Returns the
+    result and the engine report it came from.
+    """
+    if copies < 1:
+        raise EstimationError(f"copies must be >= 1, got {copies}")
+    if mode not in FusionMode._ALL:
+        raise EngineError(f"unknown fusion mode {mode!r}; expected one of {FusionMode._ALL}")
+    if copy_rngs is not None and len(copy_rngs) != copies:
+        raise EstimationError(
+            f"copy_rngs carries {len(copy_rngs)} entries for {copies} copies"
+        )
+    if copy_rngs is not None and mode == FusionMode.SHARED:
+        raise EngineError("copy_rngs is a mirror-mode parameter; shared mode derives from rng")
+    master = ensure_rng(rng)
+    k = resolve_trials(metadata, pattern, epsilon, lower_bound, trials, param_mode)
     if mode == FusionMode.MIRROR:
         if copy_rngs is None:
             # Derive *seeds*, not generators: Random(derive_seed(...))
@@ -434,86 +404,39 @@ def _fused_fgp_count(
             # process-backend boundary as ~30 bytes instead of a
             # ~2.5 KB pickled Mersenne state.
             copy_rngs = [derive_seed(master, f"copy-{index}") for index in range(copies)]
-        # Every copy gets the already-resolved budget k, so the
-        # reported trials_per_copy cannot drift from what the copies
-        # actually ran (and resolve_trials runs once, not K+1 times).
-        copy_results, report = _run_mirror(
-            stream,
-            copies,
-            batch_size,
-            copy_rngs,
-            lambda copy_rng, name: mirror_factory(copy_rng, name, k),
-            lambda copy_rng, name: mirror_spec_factory(copy_rng, name, k),
-            backend,
-            workers,
-            start_method,
-            cache,
-        )
-    elif backend != EngineBackend.SERIAL:
-        if copy_rngs is not None:
-            raise EngineError("copy_rngs is a mirror-mode parameter; shared mode derives from rng")
-        copy_results, report, ensemble_space = _run_shared_sharded(
-            stream,
-            copies,
-            k,
-            batch_size,
-            backend,
-            workers,
-            start_method,
-            master,
-            kind,
-            algorithm,
-            pattern,
-            sampler_mode,
-            sampler_kwargs,
-            sampler_repetitions,
-            cache,
-        )
+        specs = _mirror_specs(kind, pattern, k, copy_rngs, sampler_repetitions)
     else:
-        if copy_rngs is not None:
-            raise EngineError("copy_rngs is a mirror-mode parameter; shared mode derives from rng")
-        oracle = shared_oracle_factory(derive_rng(master, "oracle"))
-
-        def make_generator(copy: int, trial: int):
-            return subgraph_sampler_rounds(
-                pattern,
-                rng=derive_rng(master, f"copy-{copy}-trial-{trial}"),
-                mode=sampler_mode,
-                **sampler_kwargs,
-            )
-
-        copy_results, report = _run_shared(
-            stream,
-            copies,
-            k,
-            batch_size,
-            oracle,
-            make_generator,
-            _shared_fgp_finalize(stream, pattern, range(copies), k, oracle, algorithm),
-            cache,
+        specs = _shared_specs(
+            kind, pattern, k, copies, master, backend, workers, sampler_repetitions
         )
-        ensemble_space = oracle.space.peak_words
-
-    median = statistics.median(result.estimate for result in copy_results)
+    report = run_specs(specs)
     details = {
         "trials_per_copy": float(k),
         "elements": float(report.elements),
         "batch_size": float(report.batch_size),
         "workers": float(report.workers),
     }
-    if ensemble_space is not None:
-        details["ensemble_space_words"] = float(ensemble_space)
-    return FusedCountResult(
-        algorithm=algorithm,
+    if mode == FusionMode.MIRROR:
+        copy_results = [report.results[spec.name] for spec in specs]
+    else:
+        groups = [report.results[spec.name] for spec in specs]
+        copy_results = [result for group in groups for result in group]
+        details["ensemble_space_words"] = float(
+            sum(int(group[0].details["shard_space_words"]) for group in groups)
+        )
+    median = statistics.median(result.estimate for result in copy_results)
+    result = FusedCountResult(
+        algorithm=_KINDS[kind][1],
         pattern=pattern.name,
         estimate=median,
         copies=copy_results,
         passes=report.passes,
         mode=mode,
         backend=backend,
-        m=stream.net_edge_count,
+        m=metadata.net_edge_count,
         details=details,
     )
+    return result, report
 
 
 def count_subgraphs_insertion_only_fused(
@@ -551,47 +474,12 @@ def count_subgraphs_insertion_only_fused(
     across the two parallel backends, but a different bit-stream than
     the serial shared run).
     """
-
-    def mirror_factory(copy_rng, name, resolved_trials):
-        return fgp_insertion_estimator(
-            stream,
-            pattern,
-            trials=resolved_trials,
-            rng=copy_rng,
-            name=name,
-        )
-
-    def mirror_spec_factory(copy_rng, name, resolved_trials):
-        return EstimatorSpec(
-            name=name,
-            factory=fgp_insertion_estimator,
-            kwargs=dict(pattern=pattern, trials=resolved_trials, rng=copy_rng, name=name),
-        )
-
     return _fused_fgp_count(
-        stream,
-        pattern,
-        copies,
-        epsilon,
-        lower_bound,
-        trials,
-        rng,
-        copy_rngs,
-        param_mode,
-        mode,
-        batch_size,
-        backend,
-        workers,
-        start_method,
-        "insertion",
-        "fgp-3pass-insertion",
-        mirror_factory,
-        mirror_spec_factory,
-        lambda oracle_rng: InsertionStreamOracle(stream, oracle_rng),
-        SamplerMode.AUGMENTED,
-        {},
-        cache=cache,
-    )
+        "insertion", stream,
+        _engine_runner(stream, batch_size, backend, workers, start_method, cache),
+        pattern, copies, epsilon, lower_bound, trials, rng, copy_rngs, param_mode,
+        mode, backend, workers,
+    )[0]
 
 
 def count_subgraphs_turnstile_fused(
@@ -619,57 +507,12 @@ def count_subgraphs_turnstile_fused(
     the copies stay independent.  Backend semantics as in
     :func:`count_subgraphs_insertion_only_fused`.
     """
-
-    def mirror_factory(copy_rng, name, resolved_trials):
-        return fgp_turnstile_estimator(
-            stream,
-            pattern,
-            trials=resolved_trials,
-            rng=copy_rng,
-            sampler_repetitions=sampler_repetitions,
-            name=name,
-        )
-
-    def mirror_spec_factory(copy_rng, name, resolved_trials):
-        return EstimatorSpec(
-            name=name,
-            factory=fgp_turnstile_estimator,
-            kwargs=dict(
-                pattern=pattern,
-                trials=resolved_trials,
-                rng=copy_rng,
-                sampler_repetitions=sampler_repetitions,
-                name=name,
-            ),
-        )
-
     return _fused_fgp_count(
-        stream,
-        pattern,
-        copies,
-        epsilon,
-        lower_bound,
-        trials,
-        rng,
-        copy_rngs,
-        param_mode,
-        mode,
-        batch_size,
-        backend,
-        workers,
-        start_method,
-        "turnstile",
-        "fgp-3pass-turnstile",
-        mirror_factory,
-        mirror_spec_factory,
-        lambda oracle_rng: TurnstileStreamOracle(
-            stream, oracle_rng, sampler_repetitions=sampler_repetitions
-        ),
-        SamplerMode.RELAXED,
-        {},
-        sampler_repetitions=sampler_repetitions,
-        cache=cache,
-    )
+        "turnstile", stream,
+        _engine_runner(stream, batch_size, backend, workers, start_method, cache),
+        pattern, copies, epsilon, lower_bound, trials, rng, copy_rngs, param_mode,
+        mode, backend, workers, sampler_repetitions,
+    )[0]
 
 
 def count_subgraphs_two_pass_fused(
@@ -694,44 +537,9 @@ def count_subgraphs_two_pass_fused(
     Backend semantics as in :func:`count_subgraphs_insertion_only_fused`.
     """
     require_star_decomposable(pattern)
-
-    def mirror_factory(copy_rng, name, resolved_trials):
-        return fgp_two_pass_estimator(
-            stream,
-            pattern,
-            trials=resolved_trials,
-            rng=copy_rng,
-            name=name,
-        )
-
-    def mirror_spec_factory(copy_rng, name, resolved_trials):
-        return EstimatorSpec(
-            name=name,
-            factory=fgp_two_pass_estimator,
-            kwargs=dict(pattern=pattern, trials=resolved_trials, rng=copy_rng, name=name),
-        )
-
     return _fused_fgp_count(
-        stream,
-        pattern,
-        copies,
-        epsilon,
-        lower_bound,
-        trials,
-        rng,
-        copy_rngs,
-        param_mode,
-        mode,
-        batch_size,
-        backend,
-        workers,
-        start_method,
-        "two_pass",
-        "fgp-2pass-insertion",
-        mirror_factory,
-        mirror_spec_factory,
-        lambda oracle_rng: InsertionStreamOracle(stream, oracle_rng),
-        SamplerMode.AUGMENTED,
-        {"skip_empty_wedge_round": True},
-        cache=cache,
-    )
+        "two_pass", stream,
+        _engine_runner(stream, batch_size, backend, workers, start_method, cache),
+        pattern, copies, epsilon, lower_bound, trials, rng, copy_rngs, param_mode,
+        mode, backend, workers,
+    )[0]

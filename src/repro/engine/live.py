@@ -121,20 +121,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.core import DEFAULT_BATCH_SIZE, EngineBackend
+from repro.engine.core import DEFAULT_BATCH_SIZE, EngineBackend, check_engine_config
 from repro.engine.parallel import (
     DEFAULT_REPLY_TIMEOUT,
     EstimatorSpec,
     StreamHandle,
-    make_worker_pool,
-    resolve_workers,
-    shard_indices,
+    spec_pool,
 )
 from repro.errors import CheckpointError, EngineError, EstimationError, StreamError
 from repro.faults.plan import FaultPlan, fire as fire_fault
 from repro.graph.graph import normalize_edge
 from repro.streams.batch import EdgeBatch
-from repro.streams.stream import ColumnEdgeStream, Update, check_batch_size
+from repro.streams.stream import ColumnEdgeStream, Update
 from repro.utils.retry import RetryPolicy, retry_call
 
 __all__ = [
@@ -725,19 +723,9 @@ class LiveEngine:
         respawn_budget: int = 2,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        try:
-            batch_size = check_batch_size(batch_size)
-        except StreamError as error:
-            raise EngineError(str(error)) from error
-        if backend not in EngineBackend._ALL:
-            raise EngineError(
-                f"unknown backend {backend!r}; expected one of {EngineBackend._ALL}"
-            )
-        if on_worker_loss not in ("abort", "degrade"):
-            raise EngineError(
-                f"on_worker_loss must be 'abort' or 'degrade', "
-                f"got {on_worker_loss!r}"
-            )
+        batch_size = check_engine_config(
+            batch_size, backend, on_worker_loss=on_worker_loss
+        )
         if respawn_budget < 0:
             raise EngineError(
                 f"respawn_budget must be >= 0, got {respawn_budget}"
@@ -755,7 +743,6 @@ class LiveEngine:
         self._spec_names: Dict[str, EstimatorSpec] = {}
         self._estimators: List[Any] = []
         self._pool: Optional[Any] = None
-        self._pool_size = 0
         self._active_workers: List[int] = []
         self._started = False
         self._feeding = False
@@ -919,27 +906,22 @@ class LiveEngine:
                 self._synced_elements = self._journal.length
             self._started = True
             return
-        pool_size = resolve_workers(self._workers, len(specs))
-        shards = [
-            [specs[i] for i in indices]
-            for indices in shard_indices(len(specs), pool_size)
-        ]
-        handle = StreamHandle.of(self._journal)
-        self._pool = make_worker_pool(
+        self._pool = spec_pool(
             self._backend,
-            shards,
-            handle,
+            specs,
+            StreamHandle.of(self._journal),
+            self._workers,
             self._reply_timeout,
             start_method=self._start_method,
             batch_capacity=self._batch_size,
             fault_plan=self._fault_plan,
         )
-        self._pool_size = pool_size
+        shards = list(self._pool.shards)
         if self._on_worker_loss == "degrade":
             self._pool.loss_handler = self._on_loss
         self._starting = True
         try:
-            wants = self._pool.gather("ready", range(pool_size))
+            wants = self._pool.gather("ready", range(len(shards)))
             if states is None:
                 self._active_workers = [
                     w for w in self._pool.live_ids() if wants.get(w, False)

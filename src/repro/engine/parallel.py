@@ -19,7 +19,18 @@ module shards them across a pool of workers:
   registration order, so median-of-K and per-copy diagnostics are
   computed exactly as in the serial backend.
 
-Two pool flavours share one driver loop and one worker loop
+One driver loop, :func:`_drive_pool`, runs every pass over a pool: it
+begins the pass on the workers, publishes each source's batches, and
+closes the pass either on the workers (copy groups: each worker ends
+its own estimators' pass — :func:`run_parallel_engine`, behind the
+parallel backends of ``StreamEngine``) or on the driver (one worker
+per shard: the driver merges the workers' mid-pass states and sends
+the global answers back — the process backend of
+:class:`~repro.engine.sharded.ShardedRunner`).  :func:`spec_pool`
+builds the copy-group pool that ``run_parallel_engine`` and the live
+engine share.
+
+Two pool flavours share that driver loop and one worker loop
 (:func:`_worker_main`):
 
 ``backend="process"`` (:class:`_ProcessPool`)
@@ -110,16 +121,23 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.core import DEFAULT_BATCH_SIZE, EngineReport, apply_cache_policy
-from repro.errors import EngineError, StreamError, WorkerLossError
+from repro.engine.core import (
+    DEFAULT_BATCH_SIZE,
+    EngineBackend,
+    EngineReport,
+    PassCounts,
+    apply_cache_policy,
+    check_engine_config,
+)
+from repro.errors import EngineError, WorkerLossError
 from repro.faults.plan import FaultPlan, WorkerKilled
 from repro.utils.retry import RetryPolicy, retry_call
 from repro.streams.batch import EdgeBatch, PACKED_ELEMENT_BYTES, pack_columns, unpack_columns
-from repro.streams.stream import EdgeStream, check_batch_size
+from repro.streams.stream import EdgeStream
 
 __all__ = [
     "StreamHandle",
@@ -509,22 +527,17 @@ def _worker_main(
                 active = [e for e in estimators if e.wants_pass()]
                 for estimator in active:
                     estimator.begin_pass(message[1])
-            elif command == "end_pass":
+            elif command in ("end_pass", "adopt_answers"):
+                # "adopt_answers" is the scatter/merge close: the driver
+                # merged every shard's pass states and sends the *global*
+                # answers; each replica discards its shard-partial
+                # answers and adopts these, keeping all replicas in
+                # randomness lockstep (see repro.engine.sharded).
                 for estimator in active:
-                    estimator.end_pass()
-                active = []
-                replies.put(
-                    ("pass_done", worker_id, any(e.wants_pass() for e in estimators))
-                )
-            elif command == "adopt_answers":
-                # Scatter/merge close: the driver merged every shard's
-                # pass states and broadcasts the *global* answers; each
-                # replica discards its shard-partial answers and adopts
-                # these, keeping all replicas in randomness lockstep
-                # (see repro.engine.sharded.ShardedRunner).
-                payload = message[1]
-                for estimator in active:
-                    estimator.end_pass_adopting(payload[estimator.name])
+                    if command == "end_pass":
+                        estimator.end_pass()
+                    else:
+                        estimator.end_pass_adopting(message[1][estimator.name])
                 active = []
                 replies.put(
                     ("pass_done", worker_id, any(e.wants_pass() for e in estimators))
@@ -596,8 +609,10 @@ class _PoolBase:
     #: What a member of the pool is called in error messages.
     kind = "worker"
 
-    def __init__(self, timeout: float) -> None:
+    def __init__(self, timeout: float, handle) -> None:
         self._timeout = timeout
+        #: The stream metadata every worker builds its estimators against.
+        self.handle = handle
         # Legitimate replies pulled off the queue while probing for
         # failures mid-broadcast (a fast worker may answer an
         # ``end_pass``/``collect`` before the slowest worker received
@@ -947,7 +962,7 @@ class _ProcessPool(_PoolBase):
         batch_capacity: int = DEFAULT_BATCH_SIZE,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        super().__init__(timeout)
+        super().__init__(timeout, handle)
         # Start the driver's resource tracker before any worker exists:
         # workers inherit its fd (fork and spawn both), so their
         # attach-side registrations land in the driver's tracker —
@@ -962,7 +977,6 @@ class _ProcessPool(_PoolBase):
             pass
         self._batch_capacity = int(batch_capacity)
         self._context = context
-        self._handle = handle
         self._fault_plan = fault_plan
         self._ring: Optional[_SharedBatchRing] = None
         self._next_seq = 0
@@ -1020,7 +1034,7 @@ class _ProcessPool(_PoolBase):
             process = self._context.Process(
                 target=_worker_main,
                 args=(
-                    new_id, list(shard), self._handle, queue, self.replies, ack,
+                    new_id, list(shard), self.handle, queue, self.replies, ack,
                     self._fault_plan,
                 ),
                 daemon=True,
@@ -1159,11 +1173,10 @@ class _ThreadPool(_PoolBase):
         timeout: float,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        super().__init__(timeout)
+        super().__init__(timeout, handle)
         import queue as queue_module
         import threading
 
-        self._handle = handle
         self._fault_plan = fault_plan
         self.replies = queue_module.Queue()
         for worker_id, shard in enumerate(shards):
@@ -1203,7 +1216,7 @@ class _ThreadPool(_PoolBase):
             queue = queue_module.Queue(COMMAND_QUEUE_DEPTH)
             thread = threading.Thread(
                 target=_worker_main,
-                args=(new_id, list(shard), self._handle, queue, self.replies,
+                args=(new_id, list(shard), self.handle, queue, self.replies,
                       None, self._fault_plan),
                 daemon=True,
                 name=f"repro-worker-{new_id}",
@@ -1229,11 +1242,6 @@ class _ThreadPool(_PoolBase):
                 self._send_stop(worker_id)
         for worker_id in live:
             self.processes[worker_id].join(timeout=5.0)
-
-
-#: Backwards-compatible name for the process pool (the historical
-#: single-backend pool class).
-_WorkerPool = _ProcessPool
 
 
 def _make_context(start_method: Optional[str]):
@@ -1266,8 +1274,6 @@ def make_worker_pool(
     *fault_plan* ships a :class:`~repro.faults.FaultPlan` to every
     worker so drills can kill/wedge them at chosen batches.
     """
-    from repro.engine.core import EngineBackend
-
     if backend == EngineBackend.THREAD:
         return _ThreadPool(shards, handle, timeout, fault_plan=fault_plan)
     if backend == EngineBackend.PROCESS:
@@ -1327,112 +1333,184 @@ def run_parallel_engine(
     lost estimator names in ``lost``, and each surviving estimate is
     bit-identical to a run configured without the lost copies.
     """
-    from repro.engine.core import EngineBackend
-
     if backend not in (EngineBackend.PROCESS, EngineBackend.THREAD):
         raise EngineError(
             f"run_parallel_engine drives the parallel backends "
             f"{(EngineBackend.THREAD, EngineBackend.PROCESS)}, got {backend!r}"
         )
-    if on_worker_loss not in ("abort", "degrade"):
-        raise EngineError(
-            f"on_worker_loss must be 'abort' or 'degrade', got {on_worker_loss!r}"
-        )
+    batch_size = check_engine_config(batch_size, backend, max_passes, on_worker_loss)
     if not specs:
         raise EngineError("no estimator specs registered")
-    try:
-        batch_size = check_batch_size(batch_size)
-    except StreamError as error:
-        raise EngineError(str(error)) from error
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise EngineError(f"duplicate estimator names in specs: {names}")
 
-    pool_size = resolve_workers(workers, len(specs))
-    shards = [
-        [specs[i] for i in indices] for indices in shard_indices(len(specs), pool_size)
-    ]
-    handle = StreamHandle.of(stream)
     apply_cache_policy(stream, cache)
     if reset_pass_count:
         stream.reset_pass_count()
-
-    pool = make_worker_pool(
+    pool = spec_pool(
         backend,
-        shards,
-        handle,
+        specs,
+        StreamHandle.of(stream),
+        workers,
         reply_timeout,
         start_method=start_method,
         batch_capacity=batch_size,
         fault_plan=fault_plan,
     )
-    lost_workers: set = set()
+    pool_size = len(pool.shards)
     if on_worker_loss == "degrade":
-        def quarantine(lost: List[int]) -> None:
-            pool.discard(lost)
-            lost_workers.update(lost)
-
-        pool.loss_handler = quarantine
-    graceful = False
-    try:
-        wants = pool.gather("ready", range(pool_size))
-        passes = 0
-        elements = 0
-        dispatches = 0
-        while True:
-            active = [
-                worker_id
-                for worker_id in pool.live_ids()
-                if wants.get(worker_id, False)
-            ]
-            if not active:
-                break
-            if max_passes and passes >= max_passes:
-                raise EngineError(
-                    f"workers {active} still want passes after "
-                    f"max_passes={max_passes}"
-                )
-            pool.broadcast(active, ("begin_pass", passes))
-            for batch in stream.batches(batch_size):
-                elements += len(batch)
-                pool.publish_batch(active, batch)
-                dispatches += len(active)
-            pool.broadcast(active, ("end_pass",))
-            wants.update(pool.gather("pass_done", active))
-            passes += 1
-
-        collectors = pool.live_ids()
-        if not collectors:
-            raise EngineError(
-                f"all {pool_size} workers were lost "
-                f"(worker ids {sorted(lost_workers)}); no estimates survive"
-            )
-        pool.broadcast(collectors, ("collect",))
-        shard_results = pool.gather("results", collectors)
-        graceful = True
-    finally:
-        pool.shutdown(graceful)
+        pool.loss_handler = pool.discard
+    results, counts = _drive_pool(pool, [stream], batch_size, max_passes)
 
     lost_names = sorted(
         {spec.name for worker_id in pool.discarded for spec in pool.shards[worker_id]}
     )
-    results: Dict[str, Any] = {}
-    for payload in shard_results.values():
-        results.update(payload)
     surviving = [name for name in names if name not in lost_names]
     missing = [name for name in surviving if name not in results]
     if missing:
         raise EngineError(f"workers returned no result for {missing}")
-    if not surviving:  # pragma: no cover - guarded by the collectors check
-        raise EngineError("all estimator shards were lost; no estimates survive")
     return EngineReport(
         results={name: results[name] for name in surviving},
-        passes=passes,
-        elements=elements,
-        dispatches=dispatches,
+        passes=counts.passes,
+        elements=counts.elements,
+        dispatches=counts.dispatches,
         batch_size=batch_size,
         workers=pool_size,
         degraded=bool(lost_names),
         lost=tuple(lost_names),
     )
 
+
+def spec_pool(
+    backend: str,
+    specs: Sequence[EstimatorSpec],
+    handle,
+    workers: Optional[int],
+    timeout: float,
+    start_method: Optional[str] = None,
+    batch_capacity: int = DEFAULT_BATCH_SIZE,
+    fault_plan: Optional[FaultPlan] = None,
+):
+    """A pool hosting *specs* in contiguous copy groups, one per worker.
+
+    The pool size is ``resolve_workers(workers, len(specs))``;
+    ``pool.shards[w]`` lists worker ``w``'s specs.
+    """
+    size = resolve_workers(workers, len(specs))
+    groups = [
+        [specs[index] for index in indices]
+        for indices in shard_indices(len(specs), size)
+    ]
+    return make_worker_pool(
+        backend,
+        groups,
+        handle,
+        timeout,
+        start_method=start_method,
+        batch_capacity=batch_capacity,
+        fault_plan=fault_plan,
+    )
+
+
+def _drive_pool(
+    pool: _PoolBase,
+    sources: Sequence,
+    batch_size: int,
+    max_passes: int,
+    primaries: Optional[Sequence[Any]] = None,
+) -> Tuple[Dict[str, Any], PassCounts]:
+    """The pool pass loop; returns ``(results, counts)``, always shuts down.
+
+    The driver begins each pass on the workers that need it, publishes
+    every source's batches, and closes the pass one of two ways:
+
+    * copy groups (``primaries is None``, one source): each worker hosts
+      a group of estimators and ends the pass itself (``end_pass``).
+      ``dispatches`` counts batches x active workers, and the results
+      are collected from the surviving workers.
+    * shards (``primaries`` given): worker ``s`` hosts a replica of
+      every spec and reads ``sources[s]``; ``primaries`` is the
+      driver's own replica set, which never ingests a batch.  At pass
+      end the driver gathers every worker's mid-pass state, rebuilds
+      it into a scratch replica, merges that into the primary, ends the
+      pass there and sends the global answers back
+      (``adopt_answers``).  ``dispatches`` counts batches x active
+      specs, the results are read off the primaries, and a lost worker
+      aborts the run: its shard's updates exist nowhere else.
+    """
+    counts = PassCounts()
+    graceful = False
+    try:
+        wants = pool.gather("ready", range(len(pool.shards)))
+        while True:
+            live = pool.live_ids()
+            if primaries is None:
+                workers = [w for w in live if wants.get(w, False)]
+                active = workers
+                waiting = f"workers {workers}"
+            else:
+                workers = live
+                active = [k for k, primary in enumerate(primaries) if primary.wants_pass()]
+                waiting = "estimators " + ", ".join(primaries[k].name for k in active)
+            if not active:
+                break
+            counts.check_max_passes(max_passes, waiting)
+            if primaries is not None:
+                if len(live) != len(sources):
+                    lost = sorted(set(range(len(sources))) - set(live))
+                    raise EngineError(
+                        f"shard workers {lost} were lost; a sharded run cannot "
+                        "degrade (their updates exist nowhere else)"
+                    )
+                for k in active:
+                    primaries[k].begin_pass(counts.passes)
+            pool.broadcast(workers, ("begin_pass", counts.passes))
+            for shard, source in enumerate(sources):
+                targets = workers if primaries is None else [shard]
+                for batch in source.batches(batch_size):
+                    counts.elements += len(batch)
+                    counts.dispatches += len(active)
+                    pool.publish_batch(targets, batch)
+            if primaries is None:
+                pool.broadcast(workers, ("end_pass",))
+                wants.update(pool.gather("pass_done", workers))
+            else:
+                merge_start = time.perf_counter()
+                _merge_shard_states(pool, primaries, active, workers)
+                counts.merge_seconds += time.perf_counter() - merge_start
+            counts.passes += 1
+        if primaries is None:
+            collectors = pool.live_ids()
+            if not collectors:
+                raise EngineError(
+                    f"all {len(pool.shards)} workers were lost (worker ids "
+                    f"{sorted(pool.discarded)}); no estimates survive"
+                )
+            pool.broadcast(collectors, ("collect",))
+            results: Dict[str, Any] = {}
+            for payload in pool.gather("results", collectors).values():
+                results.update(payload)
+        else:
+            results = {primary.name: primary.result() for primary in primaries}
+        graceful = True
+    finally:
+        pool.shutdown(graceful)
+    return results, counts
+
+
+def _merge_shard_states(pool: _PoolBase, primaries, active, workers) -> None:
+    """Close a sharded pass on the driver: merge, end, send the answers back."""
+    pool.broadcast(workers, ("state_dict",))
+    states = pool.gather("state", workers)
+    answers: Dict[str, list] = {}
+    for k in active:
+        spec = pool.shards[0][k]
+        primary = primaries[k]
+        for shard in sorted(states):
+            scratch = spec.build(pool.handle)
+            scratch.load_state_dict(states[shard][spec.name])
+            primary.merge(scratch)
+        answers[spec.name] = primary.end_pass()
+    pool.broadcast(workers, ("adopt_answers", answers))
+    pool.gather("pass_done", workers)

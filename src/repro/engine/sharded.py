@@ -32,17 +32,20 @@ silently wrong estimate.
 
 Backends
 --------
-``backend="serial"`` feeds the shards one after another in this
-process; ``backend="thread"`` feeds them concurrently from daemon
-threads (the numpy kernels release the GIL); ``backend="process"``
-reuses the worker pool of :mod:`repro.engine.parallel` — one worker
-process per shard, batches published through the shared-memory ring,
-mid-pass states gathered with the ``state_dict`` worker command,
-merged driver-side, and the global answers broadcast back with
-``adopt_answers``.  All three produce bit-identical results for the
-same seeds; the process backend additionally pays a per-pass replica
-rebuild (O(shards x trials) generator construction) to move sketch
-state across the process boundary.
+``backend="serial"`` and ``backend="thread"`` run the engine's
+in-process pass driver (:mod:`repro.engine.core`) over a grid of
+replicas, ``replicas[s][k]`` fed by shard ``s``: serially, or with
+thread ``t`` feeding shards ``t, t+T, ...`` concurrently (the numpy
+kernels release the GIL); the replicas merge by reference.
+``backend="process"`` runs the pool driver of
+:mod:`repro.engine.parallel` — one worker process per shard, batches
+published through the shared-memory ring, mid-pass states gathered
+with the ``state_dict`` worker command, merged driver-side, and the
+global answers broadcast back with ``adopt_answers``.  All three
+produce bit-identical results for the same seeds; the process backend
+additionally pays a per-pass replica rebuild (O(shards x trials)
+generator construction) to move sketch state across the process
+boundary.
 
 Memory stays bounded by the shard batch caches: apply a
 ``cache="lru:..."`` policy and the peak decoded bytes are metered per
@@ -64,32 +67,29 @@ Quick tour::
 from __future__ import annotations
 
 import random
-import statistics
-import threading
-import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.engine.core import (
     DEFAULT_BATCH_SIZE,
     EngineBackend,
     EngineReport,
+    _drive_local,
     apply_cache_policy,
+    check_engine_config,
 )
-from repro.engine.estimators import fgp_turnstile_estimator
-from repro.engine.fused import FusedCountResult, FusionMode, _check_fused_args
+from repro.engine.fused import FusedCountResult, FusionMode, _fused_fgp_count
 from repro.engine.parallel import (
     DEFAULT_REPLY_TIMEOUT,
     EstimatorSpec,
     StreamHandle,
+    _drive_pool,
     make_worker_pool,
     resolve_workers,
 )
-from repro.errors import EngineError, StreamError
+from repro.errors import EngineError
 from repro.estimate.concentration import ParamMode
 from repro.patterns.pattern import Pattern
-from repro.streaming.three_pass import resolve_trials
-from repro.streams.stream import check_batch_size
-from repro.utils.rng import RandomSource, derive_seed, ensure_rng
+from repro.utils.rng import RandomSource
 
 __all__ = [
     "ShardedRunner",
@@ -155,16 +155,7 @@ class ShardedRunner:
         reply_timeout: float = DEFAULT_REPLY_TIMEOUT,
         reset_pass_count: bool = True,
     ) -> None:
-        if backend not in EngineBackend._ALL:
-            raise EngineError(
-                f"unknown backend {backend!r}; expected one of {EngineBackend._ALL}"
-            )
-        if max_passes < 0:
-            raise EngineError(f"max_passes must be >= 0, got {max_passes}")
-        try:
-            batch_size = check_batch_size(batch_size)
-        except StreamError as error:
-            raise EngineError(str(error)) from error
+        batch_size = check_engine_config(batch_size, backend, max_passes)
         self._shards = list(shards)
         self._handle = sharded_stream_handle(self._shards)
         self._batch_size = batch_size
@@ -200,224 +191,55 @@ class ShardedRunner:
             self.register(spec)
 
     def run(self) -> EngineReport:
-        """Drive all specs to completion; results come from replica 0."""
+        """Drive all specs to completion; results come from shard 0's replicas.
+
+        Serial and thread backends run the in-process pass driver over
+        ``replicas[s][k]`` (shard ``s``, spec ``k``); the process
+        backend runs the pool driver with one worker per shard and a
+        driver-side replica set that merges the workers' states.
+        """
         if not self._specs:
             raise EngineError("no estimator specs registered")
         for shard in self._shards:
             apply_cache_policy(shard, self._cache)
             if self._reset_pass_count:
                 shard.reset_pass_count()
+        count = len(self._shards)
         if self._backend == EngineBackend.PROCESS:
-            return self._run_pooled()
-        return self._run_local()
-
-    # -- serial / thread: replicas live in this process ------------------
-
-    def _feed_shard(self, shard_index: int, estimators: Sequence) -> List[int]:
-        """One shard's pass: feed every batch to the shard's replicas."""
-        elements = 0
-        batches = 0
-        for batch in self._shards[shard_index].batches(self._batch_size):
-            elements += len(batch)
-            batches += 1
-            for estimator in estimators:
-                estimator.ingest_batch(batch)
-        return [elements, batches]
-
-    def _run_local(self) -> EngineReport:
-        count = len(self._shards)
-        replicas = [
-            [spec.build(self._handle) for spec in self._specs] for _ in range(count)
-        ]
-        primaries = replicas[0]
-        threads = (
-            resolve_workers(self._workers, count)
-            if self._backend == EngineBackend.THREAD
-            else 1
-        )
-        passes = 0
-        elements = 0
-        dispatches = 0
-        merge_seconds = 0.0
-        while True:
-            active = [
-                index
-                for index, estimator in enumerate(primaries)
-                if estimator.wants_pass()
-            ]
-            if not active:
-                break
-            if self._max_passes and passes >= self._max_passes:
-                names = [self._specs[index].name for index in active]
-                raise EngineError(
-                    f"estimators still want passes after max_passes="
-                    f"{self._max_passes}: {names}"
-                )
-            for shard_replicas in replicas:
-                for index in active:
-                    shard_replicas[index].begin_pass(passes)
-            actives = [
-                [shard_replicas[index] for index in active]
-                for shard_replicas in replicas
-            ]
-            if self._backend == EngineBackend.THREAD and count > 1:
-                counts = self._feed_threaded(actives, threads)
-            else:
-                counts = [
-                    self._feed_shard(shard, actives[shard]) for shard in range(count)
-                ]
-            for fed, batches in counts:
-                elements += fed
-                dispatches += batches * len(active)
-            merge_start = time.perf_counter()
-            for index in active:
-                primary = primaries[index]
-                for shard_replicas in replicas[1:]:
-                    primary.merge(shard_replicas[index])
-                answers = primary.end_pass()
-                for shard_replicas in replicas[1:]:
-                    shard_replicas[index].end_pass_adopting(answers)
-            merge_seconds += time.perf_counter() - merge_start
-            passes += 1
-        results = {
-            spec.name: primaries[index].result()
-            for index, spec in enumerate(self._specs)
-        }
-        return EngineReport(
-            results=results,
-            passes=passes,
-            elements=elements,
-            dispatches=dispatches,
-            batch_size=self._batch_size,
-            workers=threads if self._backend == EngineBackend.THREAD else 1,
-            merge_seconds=merge_seconds,
-        )
-
-    def _feed_threaded(self, actives: Sequence[Sequence], threads: int) -> List[List[int]]:
-        """Feed all shards concurrently: thread t owns shards t, t+T, ...
-
-        Each shard's replicas are touched by exactly one thread, so no
-        estimator state is shared; the merge barrier runs in the caller
-        after every feeder joined.  The first feeder error re-raises.
-        """
-        count = len(self._shards)
-        counts: List[List[int]] = [[0, 0] for _ in range(count)]
-        errors: List[BaseException] = []
-        lock = threading.Lock()
-
-        def feed(thread_index: int) -> None:
-            try:
-                for shard in range(thread_index, count, threads):
-                    counts[shard] = self._feed_shard(shard, actives[shard])
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                with lock:
-                    errors.append(error)
-
-        feeders = [
-            threading.Thread(
-                target=feed, args=(index,), name=f"shard-feeder-{index}", daemon=True
+            primaries = [spec.build(self._handle) for spec in self._specs]
+            pool = make_worker_pool(
+                EngineBackend.PROCESS,
+                [list(self._specs) for _ in range(count)],
+                self._handle,
+                self._reply_timeout,
+                start_method=self._start_method,
+                batch_capacity=self._batch_size,
             )
-            for index in range(min(threads, count))
-        ]
-        for feeder in feeders:
-            feeder.start()
-        for feeder in feeders:
-            feeder.join()
-        if errors:
-            raise errors[0]
-        return counts
-
-    # -- process: shard replicas live in pool workers --------------------
-
-    def _run_pooled(self) -> EngineReport:
-        """One pool worker per shard, merge through state round-trips.
-
-        The driver keeps its own primary replica set that never ingests
-        a batch: each pass it opens the pass (consuming the same oracle
-        randomness as the workers' replicas), pulls every worker's
-        mid-pass ``state_dict``, rehydrates it into a scratch replica
-        and merges it in, ends the pass, and broadcasts the global
-        answers back (``adopt_answers``).  A lost worker aborts the
-        run — unlike copy-parallelism there is no degrading: a dead
-        shard's updates are simply missing from every estimate.
-        """
-        count = len(self._shards)
-        pool = make_worker_pool(
-            EngineBackend.PROCESS,
-            [list(self._specs) for _ in range(count)],
-            self._handle,
-            self._reply_timeout,
-            start_method=self._start_method,
-            batch_capacity=self._batch_size,
-        )
-        primaries = [spec.build(self._handle) for spec in self._specs]
-        passes = 0
-        elements = 0
-        dispatches = 0
-        merge_seconds = 0.0
-        graceful = False
-        try:
-            pool.gather("ready", range(count))
-            while True:
-                active = [
-                    index
-                    for index, estimator in enumerate(primaries)
-                    if estimator.wants_pass()
-                ]
-                if not active:
-                    break
-                if self._max_passes and passes >= self._max_passes:
-                    names = [self._specs[index].name for index in active]
-                    raise EngineError(
-                        f"estimators still want passes after max_passes="
-                        f"{self._max_passes}: {names}"
-                    )
-                live = pool.live_ids()
-                if len(live) != count:
-                    lost = sorted(set(range(count)) - set(live))
-                    raise EngineError(
-                        f"shard workers {lost} were lost; a sharded run cannot "
-                        "degrade (their updates exist nowhere else)"
-                    )
-                pool.broadcast(live, ("begin_pass", passes))
-                for index in active:
-                    primaries[index].begin_pass(passes)
-                for shard in range(count):
-                    for batch in self._shards[shard].batches(self._batch_size):
-                        elements += len(batch)
-                        dispatches += len(active)
-                        pool.publish_batch([shard], batch)
-                merge_start = time.perf_counter()
-                pool.broadcast(live, ("state_dict",))
-                states = pool.gather("state", live)
-                answers: Dict[str, list] = {}
-                for index in active:
-                    spec = self._specs[index]
-                    primary = primaries[index]
-                    for shard in sorted(states):
-                        scratch = spec.build(self._handle)
-                        scratch.load_state_dict(states[shard][spec.name])
-                        primary.merge(scratch)
-                    answers[spec.name] = primary.end_pass()
-                pool.broadcast(live, ("adopt_answers", answers))
-                pool.gather("pass_done", live)
-                merge_seconds += time.perf_counter() - merge_start
-                passes += 1
-            graceful = True
-        finally:
-            pool.shutdown(graceful)
-        results = {
-            spec.name: primaries[index].result()
-            for index, spec in enumerate(self._specs)
-        }
+            results, counts = _drive_pool(
+                pool, self._shards, self._batch_size, self._max_passes, primaries
+            )
+            workers = count
+        else:
+            replicas = [
+                [spec.build(self._handle) for spec in self._specs] for _ in range(count)
+            ]
+            workers = (
+                resolve_workers(self._workers, count)
+                if self._backend == EngineBackend.THREAD
+                else 1
+            )
+            counts = _drive_local(
+                self._shards, replicas, self._batch_size, self._max_passes, workers
+            )
+            results = {primary.name: primary.result() for primary in replicas[0]}
         return EngineReport(
             results=results,
-            passes=passes,
-            elements=elements,
-            dispatches=dispatches,
+            passes=counts.passes,
+            elements=counts.elements,
+            dispatches=counts.dispatches,
             batch_size=self._batch_size,
-            workers=count,
-            merge_seconds=merge_seconds,
+            workers=workers,
+            merge_seconds=counts.merge_seconds,
         )
 
 
@@ -451,54 +273,37 @@ def count_subgraphs_turnstile_sharded(
     estimators run here; insertion-only paths raise
     :class:`~repro.errors.MergeError` at the first merge barrier.
     """
-    _check_fused_args(copies, FusionMode.MIRROR, copy_rngs, backend)
-    handle = sharded_stream_handle(shards)
-    master = ensure_rng(rng)
-    k = resolve_trials(handle, pattern, epsilon, lower_bound, trials, param_mode)
-    if copy_rngs is None:
-        copy_rngs = [derive_seed(master, f"copy-{index}") for index in range(copies)]
-    runner = ShardedRunner(
-        shards,
-        batch_size=batch_size,
-        backend=backend,
-        workers=workers,
-        start_method=start_method,
-        cache=cache,
-        max_passes=max_passes,
-    )
-    names = [f"copy-{index}" for index in range(copies)]
-    for index, name in enumerate(names):
-        runner.register(
-            EstimatorSpec(
-                name=name,
-                factory=fgp_turnstile_estimator,
-                kwargs=dict(
-                    pattern=pattern,
-                    trials=k,
-                    rng=copy_rngs[index],
-                    sampler_repetitions=sampler_repetitions,
-                    name=name,
-                ),
-            )
+
+    def run_specs(specs: List[EstimatorSpec]) -> EngineReport:
+        runner = ShardedRunner(
+            shards,
+            batch_size=batch_size,
+            backend=backend,
+            workers=workers,
+            start_method=start_method,
+            cache=cache,
+            max_passes=max_passes,
         )
-    report = runner.run()
-    copy_results = [report.results[name] for name in names]
-    median = statistics.median(result.estimate for result in copy_results)
-    return FusedCountResult(
-        algorithm="fgp-3pass-turnstile",
-        pattern=pattern.name,
-        estimate=median,
-        copies=copy_results,
-        passes=report.passes,
-        mode=FusionMode.MIRROR,
-        backend=backend,
-        m=handle.net_edge_count,
-        details={
-            "trials_per_copy": float(k),
-            "elements": float(report.elements),
-            "batch_size": float(report.batch_size),
-            "workers": float(report.workers),
-            "shards": float(len(shards)),
-            "merge_seconds": float(report.merge_seconds),
-        },
+        runner.register_many(specs)
+        return runner.run()
+
+    result, report = _fused_fgp_count(
+        "turnstile",
+        sharded_stream_handle(shards),
+        run_specs,
+        pattern,
+        copies,
+        epsilon,
+        lower_bound,
+        trials,
+        rng,
+        copy_rngs,
+        param_mode,
+        FusionMode.MIRROR,
+        backend,
+        workers,
+        sampler_repetitions,
     )
+    result.details["shards"] = float(len(shards))
+    result.details["merge_seconds"] = float(report.merge_seconds)
+    return result

@@ -95,32 +95,6 @@ def addmod_vec(a: np.ndarray, b) -> np.ndarray:
     return _reduce_once(a + b)
 
 
-def powmod_vec(base: int, exponents: np.ndarray) -> np.ndarray:
-    """``base ** exponents mod (2^61 - 1)`` for a scalar base < p.
-
-    Square-and-multiply with the squarings precomputed as Python ints
-    (the base is shared), so the per-bit work is one masked
-    :func:`mulmod_vec` over the batch.
-    """
-    exponents = np.ascontiguousarray(exponents, dtype=np.uint64)
-    result = np.ones_like(exponents)
-    if not exponents.size:
-        return result
-    max_exponent = int(exponents.max())
-    square = base % MERSENNE_PRIME
-    bit = 0
-    one = np.uint64(1)
-    while (max_exponent >> bit) and square != 1:
-        mask = (exponents >> np.uint64(bit)) & one
-        if mask.any():
-            result = np.where(
-                mask.astype(bool), mulmod_vec(result, np.uint64(square)), result
-            )
-        square = (square * square) % MERSENNE_PRIME
-        bit += 1
-    return result
-
-
 def power_tables(bases: np.ndarray, bits: int) -> np.ndarray:
     """Per-row window tables: ``T[r, j, w] = bases[r]^(w·64^j) mod p``.
 
@@ -302,18 +276,3 @@ class PolynomialHash:
     def levels_many(self, items, max_level: int) -> np.ndarray:
         """Geometric levels for a batch of items (matches :meth:`level`)."""
         return hash_levels(self.values_many(items), max_level)
-
-
-def split_sum(values: np.ndarray) -> int:
-    """Exact Python-int sum of a ``uint64`` array of values < 2^61.
-
-    ``np.sum`` on ``uint64`` silently wraps once the total passes
-    2^64 (nine 61-bit terms suffice); summing the 32-bit limbs
-    separately keeps every partial sum far below the wrap for any
-    realistic batch, and the recombination is exact Python-int math.
-    """
-    if not values.size:
-        return 0
-    high = int((values >> _U32).sum(dtype=np.uint64))
-    low = int((values & _MASK32).sum(dtype=np.uint64))
-    return (high << 32) + low

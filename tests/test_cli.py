@@ -288,6 +288,30 @@ class TestConvertAndDiskStreams:
         assert code == 0
         assert "fgp-3pass-insertion" in capsys.readouterr().out
 
+    def test_cache_flag_reaches_shards_of_edge_list(
+        self, karate_path, capsys, monkeypatch
+    ):
+        import repro.streams.datasets as datasets
+        from repro.streams.cache import LRUBatchCache
+
+        views = []
+        make_views = datasets.stream_shard_views
+
+        def recording_views(stream, shards, cache="none"):
+            views.extend(make_views(stream, shards, cache=cache))
+            return views
+
+        monkeypatch.setattr(datasets, "stream_shard_views", recording_views)
+        code = main(["count", karate_path, "triangle", "--algorithm", "turnstile",
+                     "--shards", "2", "--trials", "8", "--cache", "lru",
+                     "--cache-budget", "4096"])
+        assert code == 0
+        assert "fgp-3pass-turnstile" in capsys.readouterr().out
+        assert len(views) == 2
+        for view in views:
+            assert isinstance(view.cache_policy, LRUBatchCache)
+            assert view.cache_policy.budget_bytes == 4096
+
 
 class TestCliWorlds:
     FAST = ["--families", "gnp", "--scenarios", "insertion",
