@@ -1,24 +1,20 @@
 """Ingestion benches: disk-backed streams and batch-cache policies.
 
 What the out-of-core layer costs and buys: decode throughput of a
-binary memmap stream under each cache policy, the text→binary
-conversion rate, and a fused multi-pass run comparing in-memory
-against disk-backed input.  The archived ``ingest_policies`` JSON is
-the machine-readable ingestion table the CI perf-smoke job validates.
+binary memmap stream under each cache policy and the text→binary
+conversion rate.  The archived ``ingest_policies`` JSON is the
+machine-readable ingestion table.  The fused disk-backed count is
+measured by the ``insert_fused`` workload of ``perfbench/run.py``.
 """
 
 import os
 import tempfile
 import time
 
-import numpy as np
-
 from conftest import emit_json, emit_table
 
-from repro.engine import FusionMode, count_subgraphs_insertion_only_fused
 from repro.experiments.tables import Table
 from repro.graph import generators as gen
-from repro.patterns import pattern as zoo
 from repro.streams.datasets import (
     DiskEdgeStream,
     convert_edge_list,
@@ -102,57 +98,3 @@ def test_ingest_conversion_rate(benchmark, capsys):
 
         stream = benchmark(convert)
         assert stream.net_edge_count == graph.m
-
-
-def test_ingest_fused_disk_vs_memory(benchmark, capsys):
-    graph = gen.barabasi_albert(3_000, 5, rng=11)
-    copies, trials = 8, 400
-    pattern = zoo.triangle()
-
-    def run(stream):
-        return count_subgraphs_insertion_only_fused(
-            stream, pattern, copies=copies, trials=trials, rng=13,
-            mode=FusionMode.MIRROR,
-        )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        rows = []
-        memory = insertion_stream(graph, rng=12)
-        start = time.perf_counter()
-        reference = run(memory)
-        rows.append(
-            {"source": "memory", "seconds": time.perf_counter() - start,
-             "estimate": reference.estimate}
-        )
-        for cache in ("none", "lru:256k"):
-            u, v, _ = insertion_stream(graph, rng=12).columns()
-            path = write_binary_updates(
-                os.path.join(tmp, f"{cache.split(':')[0]}.reb"), graph.n, u, v
-            )
-            disk = DiskEdgeStream(path, cache=cache)
-            start = time.perf_counter()
-            result = run(disk)
-            rows.append(
-                {"source": f"disk[{cache}]", "seconds": time.perf_counter() - start,
-                 "estimate": result.estimate}
-            )
-            assert result.estimates == reference.estimates
-
-        def rerun_disk():
-            return run(DiskEdgeStream(path, cache="none"))
-
-        benchmark(rerun_disk)
-
-    table = Table(
-        title=f"Fused 3-pass K={copies}: memory vs disk (m={graph.m}, mirror)",
-        columns=["source", "seconds", "estimate"],
-    )
-    for row in rows:
-        table.add_row(row["source"], f"{row['seconds']:.3f}", f"{row['estimate']:.1f}")
-    emit_table(table, "ingest_fused", capsys, json_twin=False)
-    emit_json(
-        "ingest_fused",
-        params={"n": graph.n, "m": graph.m, "copies": copies,
-                "trials_per_copy": trials, "pattern": pattern.name},
-        rows=rows,
-    )

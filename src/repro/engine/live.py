@@ -121,7 +121,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.core import DEFAULT_BATCH_SIZE, EngineBackend, check_engine_config
+from repro.engine.core import (
+    DEFAULT_BATCH_SIZE,
+    EngineBackend,
+    _drive_local,
+    check_engine_config,
+)
 from repro.engine.parallel import (
     DEFAULT_REPLY_TIMEOUT,
     EstimatorSpec,
@@ -141,6 +146,7 @@ __all__ = [
     "DEFAULT_MAX_DELTAS",
     "LiveEngine",
     "UpdateJournal",
+    "as_update_columns",
     "checkpoint_manifest",
     "median_estimate",
 ]
@@ -170,7 +176,7 @@ _FORMAT_FULL = "repro-live-checkpoint"
 _FORMAT_DELTA = "repro-live-delta"
 
 
-def _as_update_columns(updates) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def as_update_columns(updates) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize any accepted feed payload to ``(u, v, delta)`` columns.
 
     Accepted: an :class:`~repro.streams.batch.EdgeBatch`, a
@@ -933,7 +939,7 @@ class LiveEngine:
                     for shard in shards
                 ]
                 for worker_id, payload in enumerate(shard_states):
-                    self._pool.send(worker_id, ("load_state", payload, True))
+                    self._pool.send(worker_id, ("load_state", payload))
                 loaded = self._pool.gather("loaded", self._pool.live_ids())
                 self._active_workers = [
                     w for w in self._pool.live_ids() if loaded.get(w, False)
@@ -1058,7 +1064,7 @@ class LiveEngine:
             raise EngineError("re-entrant feed(): the engine is mid-batch")
         self._feeding = True
         try:
-            u, v, delta = _as_update_columns(updates)
+            u, v, delta = as_update_columns(updates)
             batch = self._journal.append(u, v, delta)
             if not len(batch):
                 return 0
@@ -1228,7 +1234,8 @@ class LiveEngine:
                 fork.load_state_dict(state)
                 if fork.wants_pass():
                     fork.end_pass()
-            results[spec.name] = self._complete(fork, stream)
+            _drive_local([stream], [[fork]], self._batch_size, 0)
+            results[spec.name] = fork.result()
         return results
 
     def _select(self, names: Optional[Sequence[str]]) -> List[EstimatorSpec]:
@@ -1256,17 +1263,6 @@ class LiveEngine:
                 )
             selected.append(self._spec_names[name])
         return selected
-
-    def _complete(self, estimator, stream) -> Any:
-        """Drive a fork through its remaining passes over *stream*."""
-        passes = 0
-        while estimator.wants_pass():
-            estimator.begin_pass(passes)
-            for batch in stream.batches(self._batch_size):
-                estimator.ingest_batch(batch)
-            estimator.end_pass()
-            passes += 1
-        return estimator.result()
 
     # -- checkpointing ----------------------------------------------------
 

@@ -94,10 +94,10 @@ buffering the whole stream):
     (:mod:`repro.engine.live`): the driver persists every shard's
     specs *plus* these states, so a restored pool resumes exactly
     where the snapshot was taken.
-``("load_state", states, resume_active)``
+``("load_state", states)``
     Restore each shard estimator from ``states[name]`` (freshly built
-    estimators only).  With *resume_active* the worker re-derives its
-    active set from ``wants_pass()`` so mid-pass restores keep
+    estimators only).  The loaded states carry open passes, so the
+    worker re-derives its active set from ``wants_pass()`` and keeps
     receiving batches without a new ``begin_pass``.
 ``("stop",)``
     Exit the worker loop.
@@ -552,13 +552,7 @@ def _worker_main(
                 states = message[1]
                 for estimator in estimators:
                     estimator.load_state_dict(states[estimator.name])
-                if message[2]:
-                    # Mid-pass restore: the loaded states carry open
-                    # passes, so batches must flow without a begin_pass.
-                    active = [e for e in estimators if e.wants_pass()]
-                else:
-                    # Fresh restore: a later begin_pass opens the pass.
-                    active = []
+                active = [e for e in estimators if e.wants_pass()]
                 replies.put(
                     ("loaded", worker_id, any(e.wants_pass() for e in estimators))
                 )
@@ -609,10 +603,11 @@ class _PoolBase:
     #: What a member of the pool is called in error messages.
     kind = "worker"
 
-    def __init__(self, timeout: float, handle) -> None:
+    def __init__(self, timeout: float, handle, fault_plan: Optional[FaultPlan]) -> None:
         self._timeout = timeout
         #: The stream metadata every worker builds its estimators against.
         self.handle = handle
+        self._fault_plan = fault_plan
         # Legitimate replies pulled off the queue while probing for
         # failures mid-broadcast (a fast worker may answer an
         # ``end_pass``/``collect`` before the slowest worker received
@@ -636,6 +631,42 @@ class _PoolBase:
         return [w for w in range(len(self.processes)) if w not in self._discarded]
 
     # -- transport hooks --------------------------------------------------
+
+    def _launch(self, worker_id: int, shard: List[EstimatorSpec]):
+        """Build and start one worker over *shard*; returns ``(queue, worker)``."""
+        raise NotImplementedError
+
+    def _spawn(self, shard: List[EstimatorSpec], retry: Optional[RetryPolicy] = None) -> int:
+        """Launch and register a worker over *shard*; returns its id."""
+        worker_id = len(self.processes)
+        if retry is None:
+            queue, worker = self._launch(worker_id, shard)
+        else:
+            queue, worker = retry_call(
+                lambda: self._launch(worker_id, shard),
+                policy=retry,
+                seed=worker_id,
+                label=f"respawn {self.kind} {worker_id}",
+            )
+        self.commands.append(queue)
+        self.processes.append(worker)
+        self.shards.append(shard)
+        return worker_id
+
+    def _start_workers(self, shards: Sequence[Sequence[EstimatorSpec]]) -> None:
+        """Launch one worker per shard, in order.
+
+        Partial startup (EAGAIN under process pressure, spawn pickling
+        error) reaps whatever already launched instead of leaking
+        workers blocked on ``commands.get()``.
+        """
+        try:
+            for shard in shards:
+                self._spawn(list(shard))
+        except BaseException:
+            for worker_id in range(len(self.processes)):
+                self._reap(worker_id)
+            raise
 
     def _alive(self, worker_id: int) -> bool:
         return self.processes[worker_id].is_alive()
@@ -679,7 +710,7 @@ class _PoolBase:
         Launching retries transient spawn failures on a jittered
         exponential schedule (:data:`RESPAWN_RETRY`).
         """
-        raise NotImplementedError
+        return self._spawn(list(self.shards[worker_id]), retry=RESPAWN_RETRY)
 
     def _recover(self, loss: WorkerLossError) -> None:
         """Run the loss handler for *loss*, or re-raise it.
@@ -962,7 +993,7 @@ class _ProcessPool(_PoolBase):
         batch_capacity: int = DEFAULT_BATCH_SIZE,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        super().__init__(timeout, handle)
+        super().__init__(timeout, handle, fault_plan)
         # Start the driver's resource tracker before any worker exists:
         # workers inherit its fd (fork and spawn both), so their
         # attach-side registrations land in the driver's tracker —
@@ -977,7 +1008,6 @@ class _ProcessPool(_PoolBase):
             pass
         self._batch_capacity = int(batch_capacity)
         self._context = context
-        self._fault_plan = fault_plan
         self._ring: Optional[_SharedBatchRing] = None
         self._next_seq = 0
         #: Batches shipped through the ring (vs pickled fallbacks) —
@@ -985,72 +1015,32 @@ class _ProcessPool(_PoolBase):
         self.shm_batches = 0
         self.acks: List[Any] = []
         self.replies = context.Queue()
-        for worker_id, shard in enumerate(shards):
-            queue = context.Queue(COMMAND_QUEUE_DEPTH)
-            # One shared int64 per worker: the highest ring seq the
-            # worker has consumed.  Locked access on purpose — a torn
-            # read could release a slot early and corrupt a batch.
-            ack = context.Value("q", -1)
-            process = context.Process(
-                target=_worker_main,
-                args=(
-                    worker_id, list(shard), handle, queue, self.replies, ack,
-                    fault_plan,
-                ),
-                daemon=True,
-            )
-            self.commands.append(queue)
-            self.acks.append(ack)
-            self.processes.append(process)
-            self.shards.append(list(shard))
-        try:
-            for process in self.processes:
-                process.start()
-        except BaseException:
-            # Partial startup (EAGAIN under process pressure, spawn
-            # pickling error): reap whatever already launched instead
-            # of leaking daemons blocked on commands.get().
-            for process in self.processes:
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5.0)
-            raise
+        self._start_workers(shards)
 
     # -- transport hooks --------------------------------------------------
+
+    def _launch(self, worker_id: int, shard: List[EstimatorSpec]):
+        queue = self._context.Queue(COMMAND_QUEUE_DEPTH)
+        # One shared int64 per worker: the highest ring seq the worker
+        # has consumed.  Locked access on purpose — a torn read could
+        # release a slot early and corrupt a batch.
+        ack = self._context.Value("q", -1)
+        process = self._context.Process(
+            target=_worker_main,
+            args=(
+                worker_id, shard, self.handle, queue, self.replies, ack,
+                self._fault_plan,
+            ),
+            daemon=True,
+        )
+        process.start()
+        self.acks.append(ack)
+        return queue, process
 
     def _terminate(self, worker_id: int) -> None:
         process = self.processes[worker_id]
         if process.is_alive():
             process.terminate()
-
-    def respawn(self, worker_id: int) -> int:
-        """Launch a replacement process over *worker_id*'s shard."""
-        shard = list(self.shards[worker_id])
-        new_id = len(self.processes)
-
-        def launch():
-            queue = self._context.Queue(COMMAND_QUEUE_DEPTH)
-            ack = self._context.Value("q", -1)
-            process = self._context.Process(
-                target=_worker_main,
-                args=(
-                    new_id, list(shard), self.handle, queue, self.replies, ack,
-                    self._fault_plan,
-                ),
-                daemon=True,
-            )
-            process.start()
-            return queue, ack, process
-
-        queue, ack, process = retry_call(
-            launch, policy=RESPAWN_RETRY, seed=new_id,
-            label=f"respawn worker {new_id}",
-        )
-        self.commands.append(queue)
-        self.acks.append(ack)
-        self.processes.append(process)
-        self.shards.append(shard)
-        return new_id
 
     def _close_transport(self) -> None:
         if self._ring is not None:
@@ -1173,26 +1163,26 @@ class _ThreadPool(_PoolBase):
         timeout: float,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        super().__init__(timeout, handle)
+        super().__init__(timeout, handle, fault_plan)
+        import queue as queue_module
+
+        self.replies = queue_module.Queue()
+        self._start_workers(shards)
+
+    def _launch(self, worker_id: int, shard: List[EstimatorSpec]):
         import queue as queue_module
         import threading
 
-        self._fault_plan = fault_plan
-        self.replies = queue_module.Queue()
-        for worker_id, shard in enumerate(shards):
-            queue = queue_module.Queue(COMMAND_QUEUE_DEPTH)
-            thread = threading.Thread(
-                target=_worker_main,
-                args=(worker_id, list(shard), handle, queue, self.replies, None,
-                      fault_plan),
-                daemon=True,
-                name=f"repro-worker-{worker_id}",
-            )
-            self.commands.append(queue)
-            self.processes.append(thread)
-            self.shards.append(list(shard))
-        for thread in self.processes:
-            thread.start()
+        queue = queue_module.Queue(COMMAND_QUEUE_DEPTH)
+        thread = threading.Thread(
+            target=_worker_main,
+            args=(worker_id, shard, self.handle, queue, self.replies, None,
+                  self._fault_plan),
+            daemon=True,
+            name=f"repro-worker-{worker_id}",
+        )
+        thread.start()
+        return queue, thread
 
     def _terminate(self, worker_id: int) -> None:
         """Threads cannot be killed; daemon threads die with the process."""
@@ -1204,36 +1194,6 @@ class _ThreadPool(_PoolBase):
         — a wedged thread may sleep for hours.  Its command queue stays
         allocated but unread; discarded ids never receive new sends.
         """
-
-    def respawn(self, worker_id: int) -> int:
-        import queue as queue_module
-        import threading
-
-        shard = list(self.shards[worker_id])
-        new_id = len(self.processes)
-
-        def launch():
-            queue = queue_module.Queue(COMMAND_QUEUE_DEPTH)
-            thread = threading.Thread(
-                target=_worker_main,
-                args=(new_id, list(shard), self.handle, queue, self.replies,
-                      None, self._fault_plan),
-                daemon=True,
-                name=f"repro-worker-{new_id}",
-            )
-            thread.start()
-            return queue, thread
-
-        queue, thread = retry_call(
-            launch,
-            policy=RESPAWN_RETRY,
-            seed=new_id,
-            label=f"respawn thread worker {new_id}",
-        )
-        self.commands.append(queue)
-        self.processes.append(thread)
-        self.shards.append(shard)
-        return new_id
 
     def shutdown(self, graceful: bool) -> None:
         live = self.live_ids()

@@ -36,7 +36,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.live import DEFAULT_MAX_DELTAS, LiveEngine, median_estimate
+from repro.engine.live import (
+    DEFAULT_MAX_DELTAS,
+    LiveEngine,
+    as_update_columns,
+    median_estimate,
+)
 from repro.engine.parallel import EstimatorSpec
 from repro.errors import EngineError, EstimationError, ReproError, ServiceError
 
@@ -536,22 +541,18 @@ class StreamRegistry:
         scheduler fired.
         """
         entry = self._entry(name)
+        updates = as_update_columns(updates)
+        chunk_len = len(updates[0])
         watermark = self.limits.max_journal_elements
-        if watermark is not None:
-            try:
-                chunk_len = len(updates.get("u", ())) \
-                    if isinstance(updates, dict) else len(updates[0])
-            except (TypeError, IndexError, AttributeError):
-                chunk_len = 0
-            if entry.engine.elements + chunk_len > watermark:
-                entry.refusals += 1
-                raise ServiceError(
-                    f"feed of {chunk_len} update(s) refused: stream "
-                    f"{name!r} holds {entry.engine.elements} journaled "
-                    f"update(s) against a max_journal_elements watermark "
-                    f"of {watermark}; checkpoint+close the stream or "
-                    f"raise the limit"
-                )
+        if watermark is not None and entry.engine.elements + chunk_len > watermark:
+            entry.refusals += 1
+            raise ServiceError(
+                f"feed of {chunk_len} update(s) refused: stream "
+                f"{name!r} holds {entry.engine.elements} journaled "
+                f"update(s) against a max_journal_elements watermark "
+                f"of {watermark}; checkpoint+close the stream or "
+                f"raise the limit"
+            )
         fed = entry.engine.feed(updates)
         entry.feeds += 1
         written = self._maybe_checkpoint(entry)

@@ -308,6 +308,49 @@ class TestShardedEndToEnd:
 
         assert leaked_shm_segments() == []
 
+    def test_triangle_dense_stream_across_views_disk_shards_and_processes(
+        self, tmp_path
+    ):
+        # A nonzero reference, so every equality below is not a
+        # comparison of 0.0 with 0.0.
+        from repro.engine.parallel import leaked_shm_segments
+        from repro.streams.datasets import (
+            open_stream_shards,
+            write_binary_updates,
+            write_stream_shards,
+        )
+
+        graph = generators.power_law_cluster(300, 5, 0.8, 11)
+        stream = turnstile_churn_stream(graph, churn_edges=200, rng=12)
+        pattern = patterns.triangle()
+
+        def sharded(shards, **kwargs):
+            return count_subgraphs_turnstile_sharded(
+                shards, pattern, copies=4, trials=48, rng=7, batch_size=128,
+                **kwargs,
+            )
+
+        reference = count_subgraphs_turnstile_fused(
+            stream, pattern, copies=4, trials=48, rng=7, mode=FusionMode.MIRROR
+        )
+        assert reference.estimate > 0
+        for shards in (2, 3):
+            assert sharded(_hash_shards(stream, shards)).estimates == reference.estimates
+
+        u, v, delta = stream.columns()
+        path = write_binary_updates(
+            tmp_path / "stream.reb", stream.n, u, v, delta, allow_deletions=True
+        )
+        write_stream_shards(path, 3)
+        disk_shards = open_stream_shards(path, 3, cache="lru:64k")
+        assert sharded(disk_shards).estimates == reference.estimates
+        peak = max(shard.cache_policy.peak_resident_bytes for shard in disk_shards)
+        assert 0 < peak <= 64 * 1024
+
+        pooled = sharded(open_stream_shards(path, 3), backend=EngineBackend.PROCESS)
+        assert pooled.estimates == reference.estimates
+        assert leaked_shm_segments() == []
+
     def test_insertion_only_sharding_raises_merge_error(self):
         graph = generators.gnp(30, 0.2, rng=1)
         from repro.streams.stream import insertion_stream

@@ -19,16 +19,28 @@ Contracts under test:
   protocol (ServerThread + ServiceClient over localhost) produces the
   same estimates as driving the engine directly, including across a
   kill → reopen drill; malformed lines are answered, not fatal.
+* **The CLI server is the same server** — a real ``repro serve``
+  subprocess serves interleaved tenants, typed refusals and the
+  kill → reopen drill with the same answers.
+
+The stream seeds are offset by ``REPRO_SERVICE_SEED`` (default 0); the
+CI service job rotates it per run and logs the repro command::
+
+    REPRO_SERVICE_SEED=<printed seed> pytest tests/test_service.py
 """
 
 import json
+import os
+import re
 import socket
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro import generators, insertion_stream
-from repro.engine import EstimatorSpec, LiveEngine
+from repro.engine import EstimatorSpec, LiveEngine, median_estimate
 from repro.engine.parallel import build_triest
 from repro.errors import EngineError, ServiceError
 from repro.service import (
@@ -46,9 +58,14 @@ from repro.service.protocol import (
     error_response,
     updates_from_wire,
 )
+from repro.streams.batch import EdgeBatch
 
 
-def _columns(seed_graph=11, seed_stream=12, n=120):
+#: Offset of every stream seed here; the CI service job rotates it.
+SEED = int(os.environ.get("REPRO_SERVICE_SEED", "0"))
+
+
+def _columns(seed_graph=SEED + 11, seed_stream=SEED + 12, n=120):
     graph = generators.barabasi_albert(n, 4, rng=seed_graph)
     return insertion_stream(graph, rng=seed_stream).columns()
 
@@ -210,6 +227,20 @@ class TestRegistryTenancy:
 
         # After every refusal the tenant still answers queries.
         assert len(registry.estimate("only")) == 3
+        registry.close_all(checkpoint=False)
+
+    def test_watermark_counts_updates_not_columns(self):
+        registry = StreamRegistry(limits=ServiceLimits(max_journal_elements=3))
+        registry.open("s", _config(120))
+        # Six update tuples are six elements, whatever their arity.
+        tuples = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+        with pytest.raises(ServiceError, match=r"feed of 6 update\(s\) refused"):
+            registry.feed("s", tuples)
+        assert registry.status("s")["elements"] == 0
+        # A two-element batch fits under the watermark.
+        registry.feed("s", EdgeBatch(np.array([0, 1]), np.array([1, 2]),
+                                     np.array([1, 1])))
+        assert registry.status("s")["elements"] == 2
         registry.close_all(checkpoint=False)
 
     def test_checkpoint_scheduling_by_time(self, tmp_path):
@@ -425,3 +456,110 @@ class TestServiceEndToEnd:
                 result = client.feed("s", [0, 1], [5, 6])
                 assert result["fed"] == 2
                 assert server.registry.inflight_bytes == 0
+
+
+class TestServeProcess:
+    """A real ``repro serve`` subprocess on an ephemeral localhost port."""
+
+    N_VERTICES = 300
+    COPIES = 3
+    CAPACITY = 64
+    CHUNK = 48
+    # Misaligned with CHUNK, so the last scheduled snapshot sits
+    # strictly before the kill and the reopen has a tail to re-feed.
+    CHECKPOINT_EVERY = 150
+
+    def _tenant_columns(self, seed):
+        u, v, d = _columns(seed_graph=seed, seed_stream=seed + 1,
+                           n=self.N_VERTICES)
+        return u[:720], v[:720], d[:720]
+
+    def _direct_median(self, u, v, d, seed):
+        # The wire config's copy k is TRIEST with rng seed + 1 + k.
+        engine = LiveEngine(n=self.N_VERTICES)
+        engine.register_all(_specs(copies=self.COPIES, capacity=self.CAPACITY,
+                                   base_rng=seed + 1))
+        engine.feed((u, v, d))
+        median = median_estimate(engine.estimate())
+        engine.close()
+        return median
+
+    @staticmethod
+    def _boot(root):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--root", root, "--max-streams", "4"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        line = proc.stdout.readline()
+        match = re.search(r"serving on ([\d.]+):(\d+)", line)
+        if not match:
+            proc.kill()
+            proc.wait(timeout=15)
+            pytest.fail(f"repro serve did not announce a port: {line!r}")
+        return proc, match.group(1), int(match.group(2))
+
+    def test_interleaved_tenants_refusals_and_kill_drill(self, tmp_path):
+        seeds = {f"tenant-{i}": SEED + 50 * i for i in range(3)}
+        tenants = {name: self._tenant_columns(seed)
+                   for name, seed in seeds.items()}
+        proc, host, port = self._boot(str(tmp_path))
+        try:
+            with ServiceClient(host, port) as client:
+                for name, seed in seeds.items():
+                    client.open(name, config={
+                        "n": self.N_VERTICES, "estimator": "triest",
+                        "copies": self.COPIES, "capacity": self.CAPACITY,
+                        "seed": seed,
+                        "checkpoint": {"every_elements": self.CHECKPOINT_EVERY},
+                    })
+                # Interleaved feeds with periodic mid-stream queries.
+                for start in range(0, 720, self.CHUNK):
+                    stop = start + self.CHUNK
+                    for name, (u, v, d) in tenants.items():
+                        client.feed(name, u[start:stop], v[start:stop],
+                                    d[start:stop])
+                        if (stop // self.CHUNK) % 3 == 0:
+                            client.estimate(name)
+                for name, (u, v, d) in tenants.items():
+                    assert client.estimate(name)["median"] == \
+                        self._direct_median(u, v, d, seeds[name])
+
+                # Typed refusals leave the connection and every tenant up.
+                with pytest.raises(ServiceError, match="not open"):
+                    client.feed("ghost", [1], [2])
+                client.open("tenant-overflow", config={
+                    "n": 8, "estimator": "triest", "copies": 1})
+                with pytest.raises(ServiceError, match="max_streams"):
+                    client.open("tenant-overflow-2", config={
+                        "n": 8, "estimator": "triest", "copies": 1})
+                assert client.status()["open_streams"] == 4
+                client.close_stream("tenant-overflow", checkpoint=False)
+
+                # Kill without the final checkpoint, reopen from the
+                # last scheduled snapshot, re-feed the tail.
+                name = "tenant-0"
+                u, v, d = tenants[name]
+                client.kill(name)
+                reopened = client.open(name)
+                resumed_at = reopened["elements"]
+                assert reopened["restored"] is True
+                assert 0 < resumed_at < len(u)
+                client.feed(name, u[resumed_at:], v[resumed_at:],
+                            d[resumed_at:])
+                assert client.estimate(name)["median"] == \
+                    self._direct_median(u, v, d, seeds[name])
+                for name in tenants:
+                    client.close_stream(name, checkpoint=False)
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(timeout=15)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=15)

@@ -18,6 +18,7 @@ import pytest
 from repro.errors import ReproError, WorldsError
 from repro.exact.subgraphs import count_subgraphs
 from repro.patterns import pattern as zoo
+from repro.streams.cache import parse_byte_size
 from repro.streams.datasets import DiskEdgeStream
 from repro.worlds import (
     ESTIMATORS,
@@ -239,6 +240,33 @@ class TestSweep:
         archived = json.loads(out.read_text(encoding="utf-8"))
         validate_sweep_document(archived)
         assert archived["rows"] == rows
+
+    def test_gnp_and_kronecker_cells_meet_epsilon_within_cache_budget(self, tmp_path):
+        # Generous seeded budgets: an eps-violation here is estimator
+        # drift, not noise.
+        budget = "256K"
+        grid = WorldGrid(
+            families=[
+                {"family": "gnp", "n": 40, "p": 0.25},
+                {"family": "kronecker", "power": 6, "edges": 320},
+            ],
+            scenarios=["insertion"],
+            estimators=["insertion", "turnstile"],
+            patterns=["triangle"],
+            budgets=[320],
+            copies=5,
+            epsilon=0.7,
+            seed=20220704,
+            cache=f"lru:{budget}",
+        )
+        out = tmp_path / "sweep.json"
+        run_sweep(grid, out_path=out)
+        rows = validate_sweep_document(
+            json.loads(out.read_text(encoding="utf-8")))["rows"]
+        assert len(rows) == len(grid.cells())
+        for row in rows:
+            assert not row["eps_violation"], row
+            assert 0 < row["peak_resident_bytes"] <= parse_byte_size(budget), row
 
     def test_resume_reuses_rows_bit_for_bit(self, tmp_path):
         grid = _mini_grid()
