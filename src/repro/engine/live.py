@@ -117,7 +117,7 @@ import pickle
 import statistics
 import struct
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -135,9 +135,8 @@ from repro.engine.parallel import (
 )
 from repro.errors import CheckpointError, EngineError, EstimationError, StreamError
 from repro.faults.plan import FaultPlan, fire as fire_fault
-from repro.graph.graph import normalize_edge
 from repro.streams.batch import EdgeBatch
-from repro.streams.stream import ColumnEdgeStream, Update
+from repro.streams.stream import ColumnEdgeStream, Update, check_updates
 from repro.utils.retry import RetryPolicy, retry_call
 
 __all__ = [
@@ -276,22 +275,25 @@ def _unpickle(data: bytes, path: str, what: str) -> Any:
         ) from error
 
 
-def _parse_container(blob: bytes, path: str) -> Tuple[int, Dict[str, Any]]:
-    """Parse a checkpoint file's bytes into ``(version, {name: payload})``.
+def _walk_sections(blob: bytes, path: str) -> Tuple[int, List[Dict[str, Any]]]:
+    """Walk a checkpoint's section headers: ``(version, [section, ...])``.
 
-    Verifies the magic, the container version, every section CRC, and
-    that no trailing bytes follow the last section; any violation is a
-    :class:`~repro.errors.CheckpointError` naming what broke.  Legacy
-    version-1 files (a bare pickled document after the magic) come
-    back as ``(1, {"document": ...})``.
+    Each section is ``{"name", "offset", "payload_offset",
+    "payload_length", "crc"}``, ``offset`` being where its header
+    record starts.  Verifies the magic, the container version, the
+    section count and that every header and payload lies inside the
+    file; nothing is deserialized.  A legacy version-1 file (a bare
+    pickled document after the magic) is one ``"document"`` section
+    with no CRC.
     """
     buffer = io.BytesIO(blob)
     magic = buffer.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path!r} is not a live-engine checkpoint (bad magic)")
-    head = buffer.read(1)
-    if head == b"\x80":  # a pickle opcode: the un-sectioned v1 layout
-        return 1, {"document": _unpickle(blob[len(CHECKPOINT_MAGIC):], path, "document")}
+    if buffer.read(1) == b"\x80":  # a pickle opcode: the un-sectioned v1 layout
+        start = len(CHECKPOINT_MAGIC)
+        return 1, [{"name": "document", "offset": start, "payload_offset": start,
+                    "payload_length": len(blob) - start, "crc": None}]
     buffer.seek(len(CHECKPOINT_MAGIC))
     version = _U64.unpack(_take(buffer, 8, path, "the container version"))[0]
     if version != CHECKPOINT_VERSION:
@@ -306,8 +308,9 @@ def _parse_container(blob: bytes, path: str) -> Tuple[int, Dict[str, Any]]:
             f"{path!r}: section count {count} exceeds what {remaining} "
             "remaining bytes could hold (corrupt header)"
         )
-    sections: Dict[str, Any] = {}
+    sections: List[Dict[str, Any]] = []
     for index in range(count):
+        offset = buffer.tell()
         name_len = _take(buffer, 1, path, f"section #{index}'s name length")[0]
         raw_name = _take(buffer, name_len, path, f"section #{index}'s name")
         try:
@@ -320,23 +323,48 @@ def _parse_container(blob: bytes, path: str) -> Tuple[int, Dict[str, Any]]:
         payload_len = _U64.unpack(
             _take(buffer, 8, path, f"section {name!r}'s payload length")
         )[0]
-        stored_crc = _U32.unpack(_take(buffer, 4, path, f"section {name!r}'s CRC"))[0]
-        if payload_len > len(blob) - buffer.tell():
+        crc = _U32.unpack(_take(buffer, 4, path, f"section {name!r}'s CRC"))[0]
+        payload_offset = buffer.tell()
+        if payload_len > len(blob) - payload_offset:
             raise CheckpointError(
                 f"{path!r}: truncated checkpoint while reading section "
                 f"{name!r}'s payload (wanted {payload_len} bytes, got "
-                f"{len(blob) - buffer.tell()})"
+                f"{len(blob) - payload_offset})"
             )
-        payload = buffer.read(payload_len)
+        buffer.seek(payload_offset + payload_len)
+        sections.append({"name": name, "offset": offset,
+                         "payload_offset": payload_offset,
+                         "payload_length": payload_len, "crc": crc})
+    return version, sections
+
+
+def _parse_container(blob: bytes, path: str) -> Tuple[int, Dict[str, Any]]:
+    """Parse a checkpoint file's bytes into ``(version, {name: payload})``.
+
+    On top of :func:`_walk_sections`' structural checks, verifies every
+    section CRC and that no trailing bytes follow the last section; any
+    violation is a :class:`~repro.errors.CheckpointError` naming what
+    broke.  Legacy version-1 files come back as ``(1, {"document":
+    ...})``.
+    """
+    version, layout = _walk_sections(blob, path)
+    sections: Dict[str, Any] = {}
+    end = len(CHECKPOINT_MAGIC) + 2 * _U64.size  # past the v2 header
+    for section in layout:
+        name = section["name"]
+        start = section["payload_offset"]
+        end = start + section["payload_length"]
+        payload = blob[start:end]
         actual_crc = zlib.crc32(payload)
-        if actual_crc != stored_crc:
+        if section["crc"] is not None and actual_crc != section["crc"]:
             raise CheckpointError(
                 f"{path!r}: checkpoint section {name!r} failed its CRC32 "
-                f"check (stored 0x{stored_crc:08x}, computed "
+                f"check (stored 0x{section['crc']:08x}, computed "
                 f"0x{actual_crc:08x}); the file is corrupt"
             )
-        sections[name] = _unpickle(payload, path, f"section {name!r}")
-    if buffer.read(1):
+        what = "document" if version == 1 else f"section {name!r}"
+        sections[name] = _unpickle(payload, path, what)
+    if end != len(blob):
         raise CheckpointError(
             f"{path!r}: trailing bytes after the last checkpoint section "
             "(corrupt or doctored file)"
@@ -360,58 +388,15 @@ def checkpoint_manifest(path) -> Dict[str, Any]:
 
     Returns ``{"path", "version", "size", "sections": [{"name",
     "offset", "payload_offset", "payload_length", "crc"}, ...]}``
-    where ``offset`` is where the section's header record starts.  The
-    corruption-matrix tests use this to aim truncations and bit-flips
-    at every structural boundary; operators can use it to audit what a
-    checkpoint contains without unpickling anything.
+    (see :func:`_walk_sections`).  The corruption-matrix tests use this
+    to aim truncations and bit-flips at every structural boundary;
+    operators can use it to audit what a checkpoint contains without
+    unpickling anything.
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
         blob = handle.read()
-    buffer = io.BytesIO(blob)
-    magic = buffer.read(len(CHECKPOINT_MAGIC))
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path!r} is not a live-engine checkpoint (bad magic)")
-    if buffer.read(1) == b"\x80":
-        return {
-            "path": path,
-            "version": 1,
-            "size": len(blob),
-            "sections": [
-                {
-                    "name": "document",
-                    "offset": len(CHECKPOINT_MAGIC),
-                    "payload_offset": len(CHECKPOINT_MAGIC),
-                    "payload_length": len(blob) - len(CHECKPOINT_MAGIC),
-                    "crc": None,
-                }
-            ],
-        }
-    buffer.seek(len(CHECKPOINT_MAGIC))
-    version = _U64.unpack(_take(buffer, 8, path, "the container version"))[0]
-    count = _U64.unpack(_take(buffer, 8, path, "the section count"))[0]
-    sections: List[Dict[str, Any]] = []
-    for index in range(count):
-        offset = buffer.tell()
-        name_len = _take(buffer, 1, path, f"section #{index}'s name length")[0]
-        name = _take(buffer, name_len, path, f"section #{index}'s name").decode(
-            "ascii", errors="replace"
-        )
-        payload_len = _U64.unpack(
-            _take(buffer, 8, path, f"section {name!r}'s payload length")
-        )[0]
-        crc = _U32.unpack(_take(buffer, 4, path, f"section {name!r}'s CRC"))[0]
-        payload_offset = buffer.tell()
-        _take(buffer, payload_len, path, f"section {name!r}'s payload")
-        sections.append(
-            {
-                "name": name,
-                "offset": offset,
-                "payload_offset": payload_offset,
-                "payload_length": payload_len,
-                "crc": crc,
-            }
-        )
+    version, sections = _walk_sections(blob, path)
     return {"path": path, "version": version, "size": len(blob), "sections": sections}
 
 
@@ -514,11 +499,10 @@ class UpdateJournal:
     replayable :class:`~repro.streams.stream.ColumnEdgeStream` for the
     estimate/restore forks.
 
-    Validation is incremental and atomic per append: the simple-graph
-    stream model (no self-loops, deltas in {+1, -1}, multiplicities
-    never leaving {0, 1}) is enforced exactly as
-    :class:`~repro.streams.stream.EdgeStream` enforces it at
-    construction, and a rejected batch leaves the journal untouched.
+    Validation is incremental and atomic per append: each chunk goes
+    through :func:`~repro.streams.stream.check_updates` (the stream
+    model every stream is held to) against the journal's set of live
+    edges, and a rejected chunk leaves the journal untouched.
     """
 
     def __init__(self, n: int, allow_deletions: bool = False) -> None:
@@ -529,7 +513,7 @@ class UpdateJournal:
         self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._length = 0
         self._net = 0
-        self._multiplicity: Dict[Tuple[int, int], int] = {}
+        self._live: Set[Tuple[int, int]] = set()
         self._columns: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- stream-metadata surface (what estimator factories consult) ------
@@ -577,57 +561,18 @@ class UpdateJournal:
         """Validate and record one fed chunk; returns it as an EdgeBatch.
 
         All-or-nothing: any invalid element rejects the whole chunk
-        with a :class:`~repro.errors.StreamError` naming the offending
-        global update index, and no state changes.
+        with a :class:`~repro.errors.StreamError` naming the first
+        offending global update index, and no state changes.
         """
         u = np.ascontiguousarray(u, dtype=np.int64)
         v = np.ascontiguousarray(v, dtype=np.int64)
         delta = np.ascontiguousarray(delta, dtype=np.int64)
-        if not (len(u) == len(v) == len(delta)):
-            raise StreamError("u/v/delta chunk lengths differ")
+        check_updates(
+            self._n, u, v, delta, self._allow_deletions, live=self._live,
+            offset=self._length,
+        )
         if len(u) == 0:
             return EdgeBatch(u, v, delta)
-        base = self._length
-        bad = np.flatnonzero(u == v)
-        if len(bad):
-            raise StreamError(
-                f"update #{base + int(bad[0])} is a self-loop "
-                f"({int(u[bad[0]])}, {int(v[bad[0]])})"
-            )
-        bad = np.flatnonzero((u < 0) | (u >= self._n) | (v < 0) | (v >= self._n))
-        if len(bad):
-            raise StreamError(
-                f"update #{base + int(bad[0])} touches a vertex outside "
-                f"[0, {self._n})"
-            )
-        bad = np.flatnonzero((delta != 1) & (delta != -1))
-        if len(bad):
-            raise StreamError(
-                f"update #{base + int(bad[0])} delta must be +1 or -1, got "
-                f"{int(delta[bad[0]])}"
-            )
-        if not self._allow_deletions:
-            bad = np.flatnonzero(delta < 0)
-            if len(bad):
-                raise StreamError(
-                    f"update #{base + int(bad[0])} is a deletion in an "
-                    "insertion-only live engine"
-                )
-        # Multiplicity transitions are checked against an overlay so a
-        # failure mid-chunk leaves the committed journal untouched.
-        overlay: Dict[Tuple[int, int], int] = {}
-        multiplicity = self._multiplicity
-        for index, (u_i, v_i, d_i) in enumerate(
-            zip(u.tolist(), v.tolist(), delta.tolist())
-        ):
-            edge = normalize_edge(u_i, v_i)
-            count = overlay.get(edge, multiplicity.get(edge, 0)) + d_i
-            if count < 0:
-                raise StreamError(f"update #{base + index} deletes absent edge {edge}")
-            if count > 1:
-                raise StreamError(f"update #{base + index} duplicates edge {edge}")
-            overlay[edge] = count
-        multiplicity.update(overlay)
         self._chunks.append((u, v, delta))
         self._length += len(u)
         self._net += int(delta.sum())

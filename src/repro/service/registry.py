@@ -77,10 +77,7 @@ def feed_nbytes(updates) -> int:
     falls back to the same figure for plain sequences; the point is a
     stable, cheap bound for the in-flight budget, not an exact size.
     """
-    if isinstance(updates, dict):
-        columns = [updates.get("u", ()), updates.get("v", ()),
-                   updates.get("delta", ())]
-    elif isinstance(updates, tuple) and len(updates) in (2, 3):
+    if isinstance(updates, tuple) and len(updates) in (2, 3):
         columns = list(updates)
     else:
         columns = [updates]

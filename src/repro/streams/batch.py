@@ -204,14 +204,6 @@ class EdgeBatch(Sequence):
         )
         return cls(u, v, delta)
 
-    @classmethod
-    def from_tuples(cls, decoded: Sequence[DecodedTuple]) -> "EdgeBatch":
-        """Build from already-decoded ``(u, v, delta, edge)`` tuples."""
-        u = np.fromiter((t[0] for t in decoded), dtype=np.int64, count=len(decoded))
-        v = np.fromiter((t[1] for t in decoded), dtype=np.int64, count=len(decoded))
-        delta = np.fromiter((t[2] for t in decoded), dtype=np.int64, count=len(decoded))
-        return cls(u, v, delta)
-
     # -- sequence protocol (scalar-consumer compatibility) ---------------
 
     def __len__(self) -> int:

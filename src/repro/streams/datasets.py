@@ -55,14 +55,8 @@ import numpy as np
 from repro.errors import StreamError
 from repro.faults.plan import fire as fire_fault
 from repro.utils.retry import RetryPolicy, retry_call
-from repro.graph.graph import Graph
 from repro.streams.batch import EdgeBatch
-from repro.streams.cache import BatchCachePolicy, resolve_cache_policy
-from repro.streams.stream import (
-    DEFAULT_CHUNK_SIZE,
-    CachedBatchStream,
-    Update,
-)
+from repro.streams.stream import CachedBatchStream, check_updates
 
 __all__ = [
     "BINARY_MAGIC",
@@ -260,28 +254,23 @@ class BinaryUpdateWriter:
             self.abort()
 
     def append(self, u, v, delta=None) -> None:
-        """Append one chunk of updates (validated elementwise)."""
+        """Append one chunk of updates.
+
+        Each chunk gets the stateless checks of
+        :func:`~repro.streams.stream.check_updates` (self-loops, vertex
+        range, deltas, deletions); multiplicities span chunks, so they
+        are checked when the stream is read back
+        (:meth:`~repro.streams.stream.CachedBatchStream.final_graph`).
+        """
         if self._closed:
             raise StreamError("writer already closed")
         u = np.ascontiguousarray(u, dtype=np.int64)
         v = np.ascontiguousarray(v, dtype=np.int64)
-        if delta is None:
-            delta = np.ones(len(u), dtype=np.int8)
-        else:
-            delta = np.ascontiguousarray(delta, dtype=np.int8)
-        if not (len(u) == len(v) == len(delta)):
-            raise StreamError("u/v/delta chunk lengths differ")
+        delta = np.ones(len(u), dtype=np.int8) if delta is None else np.asarray(delta)
+        check_updates(self._n, u, v, delta, self._allow_deletions, offset=self._length)
         if len(u) == 0:
             return
-        if (u == v).any():
-            raise StreamError("self-loop update in chunk")
-        if ((u < 0) | (u >= self._n) | (v < 0) | (v >= self._n)).any():
-            raise StreamError(f"vertex id outside [0, {self._n}) in chunk")
-        bad = ~np.isin(delta, (1, -1))
-        if bad.any():
-            raise StreamError("update delta must be +1 or -1")
-        if not self._allow_deletions and (delta < 0).any():
-            raise StreamError("deletion in an insertion-only binary stream")
+        delta = np.ascontiguousarray(delta, dtype=np.int8)
         self._handle.write(u.tobytes())
         self._v_handle.write(v.tobytes())
         self._d_handle.write(delta.tobytes())
@@ -436,26 +425,14 @@ class DiskEdgeStream(CachedBatchStream):
         cache="none",
     ) -> None:
         self._path = os.fspath(path)
-        self._passes = 0
-        self._cache: BatchCachePolicy = resolve_cache_policy(cache)
-        lowered = self._path.lower()
-        if lowered.endswith(".npz"):
+        columns = None
+        if self._path.lower().endswith(".npz"):
             with np.load(self._path) as archive:
-                meta = archive["meta"]
-                self._n = int(meta[0])
-                self._length = int(meta[1])
-                self._net = int(meta[2])
-                self._allow_deletions = bool(meta[3])
-                self._u = np.ascontiguousarray(archive["u"], dtype=np.int64)
-                self._v = np.ascontiguousarray(archive["v"], dtype=np.int64)
-                self._delta = np.ascontiguousarray(archive["delta"], dtype=np.int8)
-            if self._n < 1 or self._length < 0:
-                raise StreamError(
-                    f"{self._path}: nonsensical header "
-                    f"(n={self._n}, length={self._length})"
+                n, length, net, deletions = (int(x) for x in archive["meta"][:4])
+                columns = tuple(
+                    np.ascontiguousarray(archive[name], dtype=dtype)
+                    for name, dtype in (("u", np.int64), ("v", np.int64), ("delta", np.int8))
                 )
-            if not (len(self._u) == len(self._v) == len(self._delta) == self._length):
-                raise StreamError(f"{self._path}: column lengths disagree with header")
         else:
             with open(self._path, "rb") as handle:
                 magic = handle.read(len(BINARY_MAGIC))
@@ -467,73 +444,35 @@ class DiskEdgeStream(CachedBatchStream):
                 header = handle.read(_HEADER.size)
                 if len(header) != _HEADER.size:
                     raise StreamError(f"{self._path}: truncated header")
-                self._n, self._length, self._net, flags = _HEADER.unpack(header)
-            self._allow_deletions = bool(flags & _FLAG_DELETIONS)
-            if self._n < 1 or self._length < 0:
-                raise StreamError(
-                    f"{self._path}: nonsensical header "
-                    f"(n={self._n}, length={self._length})"
-                )
+                n, length, net, flags = _HEADER.unpack(header)
+            deletions = flags & _FLAG_DELETIONS
+        if n < 1 or length < 0:
+            raise StreamError(
+                f"{self._path}: nonsensical header (n={n}, length={length})"
+            )
+        if columns is None:
             base = len(BINARY_MAGIC) + _HEADER.size
-            expected = base + self._length * (8 + 8 + 1)
+            expected = base + length * (8 + 8 + 1)
             actual = os.path.getsize(self._path)
             if actual < expected:
                 raise StreamError(
                     f"{self._path}: truncated columns ({actual} < {expected} bytes)"
                 )
-            self._u = np.memmap(
-                self._path, dtype=np.int64, mode="r", offset=base, shape=(self._length,)
+            columns = tuple(
+                np.memmap(
+                    self._path, dtype=dtype, mode="r", offset=base + 8 * k * length,
+                    shape=(length,),
+                )
+                for k, dtype in enumerate((np.int64, np.int64, np.int8))
             )
-            self._v = np.memmap(
-                self._path,
-                dtype=np.int64,
-                mode="r",
-                offset=base + 8 * self._length,
-                shape=(self._length,),
-            )
-            self._delta = np.memmap(
-                self._path,
-                dtype=np.int8,
-                mode="r",
-                offset=base + 16 * self._length,
-                shape=(self._length,),
-            )
-
-    # -- stream protocol (mirrors EdgeStream) ---------------------------
+        elif any(len(column) != length for column in columns):
+            raise StreamError(f"{self._path}: column lengths disagree with header")
+        self._u, self._v, self._delta = columns
+        super().__init__(n, length, net, deletions, cache)
 
     @property
     def path(self) -> str:
         return self._path
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def length(self) -> int:
-        return self._length
-
-    @property
-    def net_edge_count(self) -> int:
-        return self._net
-
-    @property
-    def allows_deletions(self) -> bool:
-        return self._allow_deletions
-
-    def updates(self) -> Iterator[Update]:
-        """One pass as :class:`Update` objects (scalar compatibility path)."""
-        self._passes += 1
-        return self._iter_updates()
-
-    def _iter_updates(self) -> Iterator[Update]:
-        for start in range(0, self._length, DEFAULT_CHUNK_SIZE):
-            stop = min(start + DEFAULT_CHUNK_SIZE, self._length)
-            u = self._u[start:stop].tolist()
-            v = self._v[start:stop].tolist()
-            delta = self._delta[start:stop].tolist()
-            for k in range(len(u)):
-                yield Update(u[k], v[k], int(delta[k]))
 
     def _decode_batch(self, start: int, stop: int) -> EdgeBatch:
         # np.array copies the memmap window: the batch owns its
@@ -542,38 +481,6 @@ class DiskEdgeStream(CachedBatchStream):
             np.array(self._u[start:stop]),
             np.array(self._v[start:stop]),
             self._delta[start:stop],  # EdgeBatch widens to int64
-        )
-
-    def final_graph(self) -> Graph:
-        """The stream's final graph, built in memory (O(m) — small streams
-        and tests only; production estimators never need it)."""
-        live = {}
-        for start in range(0, self._length, DEFAULT_CHUNK_SIZE):
-            stop = min(start + DEFAULT_CHUNK_SIZE, self._length)
-            lo = np.minimum(self._u[start:stop], self._v[start:stop])
-            hi = np.maximum(self._u[start:stop], self._v[start:stop])
-            for a, b, d in zip(
-                lo.tolist(), hi.tolist(), self._delta[start:stop].tolist()
-            ):
-                count = live.get((a, b), 0) + d
-                if count < 0 or count > 1:
-                    raise StreamError(
-                        f"{self._path}: updates do not describe a simple graph "
-                        f"at edge ({a}, {b})"
-                    )
-                live[(a, b)] = count
-        return Graph(
-            self._n, sorted(edge for edge, count in live.items() if count == 1)
-        )
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __repr__(self) -> str:
-        kind = "turnstile" if self._allow_deletions else "insertion-only"
-        return (
-            f"DiskEdgeStream({kind}, path={self._path!r}, n={self._n}, "
-            f"length={self._length}, m={self._net}, cache={self._cache.name!r})"
         )
 
 
@@ -951,10 +858,6 @@ class ShardView(CachedBatchStream):
         if not 0 <= index < shards:
             raise StreamError(f"shard index {index} outside [0, {shards})")
         self._base = base
-        self._index = int(index)
-        self._shards = int(shards)
-        self._passes = 0
-        self._cache: BatchCachePolicy = resolve_cache_policy(cache)
         u, v, delta = _raw_columns(base)
         rows: List[np.ndarray] = []
         net = 0
@@ -969,33 +872,7 @@ class ShardView(CachedBatchStream):
         self._rows = (
             np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
         )
-        self._net = net
-
-    @property
-    def n(self) -> int:
-        return self._base.n
-
-    @property
-    def length(self) -> int:
-        return len(self._rows)
-
-    @property
-    def net_edge_count(self) -> int:
-        return self._net
-
-    @property
-    def allows_deletions(self) -> bool:
-        return self._base.allows_deletions
-
-    def updates(self) -> Iterator[Update]:
-        self._passes += 1
-        return self._iter_updates()
-
-    def _iter_updates(self) -> Iterator[Update]:
-        for start in range(0, len(self._rows), DEFAULT_CHUNK_SIZE):
-            batch = self._decode_batch(start, min(start + DEFAULT_CHUNK_SIZE, len(self._rows)))
-            for k in range(len(batch)):
-                yield Update(int(batch.u[k]), int(batch.v[k]), int(batch.delta[k]))
+        super().__init__(base.n, len(self._rows), net, base.allows_deletions, cache)
 
     def _decode_batch(self, start: int, stop: int) -> EdgeBatch:
         rows = self._rows[start:stop]
@@ -1004,15 +881,6 @@ class ShardView(CachedBatchStream):
             np.asarray(u)[rows],
             np.asarray(v)[rows],
             np.asarray(delta)[rows],
-        )
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardView(shard {self._index} of {self._shards}, n={self.n}, "
-            f"length={self.length}, m={self._net})"
         )
 
 

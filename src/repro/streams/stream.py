@@ -1,22 +1,27 @@
 """The arbitrary-order edge stream model.
 
-An :class:`EdgeStream` is a finite sequence of edge *updates* over a
-fixed vertex set [n].  In the insertion-only (cash-register) setting
-every update inserts an edge; in the turnstile setting updates carry a
-sign and the graph is the result of applying all of them to the empty
-graph (final multiplicities must be 0 or 1 — the paper's model is
-simple graphs).
+A stream is a finite sequence of edge *updates* over a fixed vertex
+set [n].  In the insertion-only (cash-register) setting every update
+inserts an edge; in the turnstile setting updates carry a sign and the
+graph is the result of applying all of them to the empty graph
+(multiplicities must stay 0 or 1 — the paper's model is simple
+graphs).  :func:`check_updates` is the single place that model is
+enforced: stream construction, the live journal, the binary writer and
+every stream's :meth:`~CachedBatchStream.final_graph` call it.
 
-Multi-pass algorithms call :meth:`EdgeStream.updates` once per pass;
-the stream counts passes so tests and experiments can assert the pass
-complexity claimed by the theorems (3 passes for Theorem 1/17, 5r for
-Theorem 2).
+:class:`ColumnEdgeStream` holds an in-memory stream as three numpy
+columns; :class:`EdgeStream` builds one from :class:`Update` objects.
+Multi-pass algorithms call ``batches()`` (or ``updates()``) once per
+pass; the stream counts passes so tests and experiments can assert the
+pass complexity claimed by the theorems (3 passes for Theorem 1/17, 5r
+for Theorem 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -49,17 +54,153 @@ def check_batch_size(batch_size) -> int:
     return int(batch_size)
 
 
-class CachedBatchStream:
-    """Shared pass-counting + batch-cache surface of the stream classes.
+def check_updates(
+    n: int,
+    u,
+    v,
+    delta,
+    allow_deletions: bool,
+    live: Optional[Set[Edge]] = None,
+    offset: int = 0,
+) -> None:
+    """Check ``(u, v, delta)`` columns against the simple-graph stream model.
 
-    Subclasses initialize ``self._passes = 0`` and ``self._cache``
-    (via :func:`~repro.streams.cache.resolve_cache_policy`), implement
-    ``__len__`` and :meth:`_decode_batch`, and inherit the whole
-    consulting loop: one cache key per ``(batch_size, batch_index)``,
-    decode on miss, retention at the policy's discretion.  Keeping the
-    loop in one place is what guarantees the in-memory and disk
-    streams can never drift apart on cache semantics.
+    Each update, in stream order, must have no self-loop, both endpoints
+    in ``[0, n)``, a delta of +1 or -1 (and +1 only unless
+    *allow_deletions*), and leave its edge's multiplicity in {0, 1}.
+    The first update that breaks a rule raises :class:`StreamError`
+    naming its global index ``offset + i``.
+
+    *live* is the set of normalized edges present before the first
+    update.  Multiplicities start from it, and once every update has
+    passed it is updated in place to the edges present after the last
+    one — a rejected chunk leaves it untouched.  ``None`` skips the
+    multiplicity rule: the stateless checks a chunked writer can make
+    without the stream's history.
+
+    Multiplicities are checked without a per-update loop: a stable sort
+    groups each edge's updates in stream order, and a cumulative sum
+    per group gives the multiplicity after every update.
     """
+    length = len(u)
+    if not len(v) == len(delta) == length:
+        raise StreamError("u/v/delta column lengths differ")
+    if length == 0:
+        return
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    bad = (lo == hi) | (lo < 0) | (hi >= n) | (np.abs(delta) != 1)
+    if not allow_deletions:
+        bad |= delta < 0
+    first = int(np.argmax(bad)) if bad.any() else length
+    if live is not None:
+        order = np.lexsort((hi, lo))
+        lo, hi, steps = lo[order], hi[order], np.asarray(delta, dtype=np.int64)[order]
+        starts = np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
+        heads = np.flatnonzero(starts)
+        edges = list(zip(lo[heads].tolist(), hi[heads].tolist()))
+        before = np.fromiter(map(live.__contains__, edges), np.int64, len(edges))
+        totals = np.cumsum(steps)
+        offsets = before - totals[heads] + steps[heads]
+        counts = totals + offsets[np.cumsum(starts) - 1]
+        over = (counts < 0) | (counts > 1)
+        if over.any():
+            first = min(first, int(order[over].min()))
+    if first < length:
+        u_i, v_i, d_i = int(u[first]), int(v[first]), int(delta[first])
+        where = f"update #{offset + first}"
+        if u_i == v_i:
+            raise StreamError(f"{where} is a self-loop ({u_i}, {v_i})")
+        if not (0 <= u_i < n and 0 <= v_i < n):
+            raise StreamError(f"{where} touches a vertex outside [0, {n})")
+        if d_i not in (1, -1):
+            raise StreamError(f"{where} delta must be +1 or -1, got {d_i}")
+        if d_i < 0 and not allow_deletions:
+            raise StreamError(f"{where} is a deletion in an insertion-only stream")
+        count = int(counts[np.flatnonzero(order == first)[0]])
+        problem = "deletes absent edge" if count < 0 else "duplicates edge"
+        raise StreamError(f"{where} {problem} {normalize_edge(u_i, v_i)}")
+    if live is not None:
+        present = (before + np.add.reduceat(steps, heads)).tolist()
+        live.difference_update(compress(edges, [not alive for alive in present]))
+        live.update(compress(edges, present))
+
+
+@dataclass(frozen=True)
+class Update:
+    """A single stream element: edge {u, v} with sign +1 or -1."""
+
+    u: int
+    v: int
+    delta: int = 1
+
+    def __post_init__(self) -> None:
+        if self.u == self.v:
+            raise StreamError(f"self-loop update ({self.u}, {self.v})")
+        if self.delta not in (1, -1):
+            raise StreamError(f"update delta must be +1 or -1, got {self.delta}")
+
+    @property
+    def edge(self) -> Edge:
+        """The normalized (min, max) edge."""
+        return normalize_edge(self.u, self.v)
+
+    @property
+    def is_insertion(self) -> bool:
+        return self.delta == 1
+
+
+class CachedBatchStream:
+    """The stream surface shared by every stream class.
+
+    Holds the metadata (``n``, ``length``, ``net_edge_count``,
+    ``allows_deletions``), the pass counter and the batch cache, and
+    defines ``updates()``, ``batches()`` and ``final_graph()`` once on
+    top of one subclass hook, :meth:`_decode_batch`.  ``batches()``
+    keeps one cache key per ``(batch_size, batch_index)``, decodes on
+    miss and retains at the policy's discretion — keeping the loop in
+    one place is what guarantees the in-memory, disk and shard streams
+    can never drift apart on cache semantics.
+    """
+
+    def __init__(
+        self, n: int, length: int, net_edge_count: int, allow_deletions: bool, cache
+    ) -> None:
+        self._n = int(n)
+        self._length = int(length)
+        self._net = int(net_edge_count)
+        self._allow_deletions = bool(allow_deletions)
+        self._passes = 0
+        self._cache: BatchCachePolicy = resolve_cache_policy(cache)
+
+    @property
+    def n(self) -> int:
+        """Vertex count of the underlying graph."""
+        return self._n
+
+    @property
+    def length(self) -> int:
+        """Number of stream elements (insertions + deletions)."""
+        return self._length
+
+    @property
+    def net_edge_count(self) -> int:
+        """m: edges of the final graph."""
+        return self._net
+
+    @property
+    def allows_deletions(self) -> bool:
+        return self._allow_deletions
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __repr__(self) -> str:
+        kind = "turnstile" if self._allow_deletions else "insertion-only"
+        return (
+            f"{type(self).__name__}({kind}, n={self._n}, length={self._length}, "
+            f"m={self._net}, passes_used={self._passes}, cache={self._cache.name!r})"
+        )
 
     @property
     def passes_used(self) -> int:
@@ -85,6 +226,19 @@ class CachedBatchStream:
         self._cache.clear()
         self._cache = resolve_cache_policy(cache)
         return self._cache
+
+    def updates(self) -> Iterator[Update]:
+        """Read one pass as :class:`Update` objects, counting it."""
+        self._passes += 1
+
+        def generate() -> Iterator[Update]:
+            for batch in self._windows():
+                for u, v, delta in zip(
+                    batch.u.tolist(), batch.v.tolist(), batch.delta.tolist()
+                ):
+                    yield Update(u, v, delta)
+
+        return generate()
 
     def batches(self, batch_size: int = DEFAULT_CHUNK_SIZE) -> Iterator["EdgeBatch"]:
         """Read one pass as columnar :class:`~repro.streams.batch.EdgeBatch`\\ es.
@@ -113,177 +267,54 @@ class CachedBatchStream:
                 cache.put(key, batch)
             yield batch
 
+    def _windows(self) -> Iterator["EdgeBatch"]:
+        """The whole stream in fresh decoded windows (no pass, no cache)."""
+        length = len(self)
+        for start in range(0, length, DEFAULT_CHUNK_SIZE):
+            yield self._decode_batch(start, min(start + DEFAULT_CHUNK_SIZE, length))
+
     def _decode_batch(self, start: int, stop: int) -> "EdgeBatch":
         """Decode updates ``[start, stop)`` into a fresh batch."""
         raise NotImplementedError
 
-
-@dataclass(frozen=True)
-class Update:
-    """A single stream element: edge {u, v} with sign +1 or -1."""
-
-    u: int
-    v: int
-    delta: int = 1
-
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise StreamError(f"self-loop update ({self.u}, {self.v})")
-        if self.delta not in (1, -1):
-            raise StreamError(f"update delta must be +1 or -1, got {self.delta}")
-
-    @property
-    def edge(self) -> Edge:
-        """The normalized (min, max) edge."""
-        return normalize_edge(self.u, self.v)
-
-    @property
-    def is_insertion(self) -> bool:
-        return self.delta == 1
-
-
-class EdgeStream(CachedBatchStream):
-    """A replayable, pass-counting edge stream.
-
-    Parameters
-    ----------
-    n:
-        Number of vertices of the underlying graph.
-    updates:
-        The stream contents, in order.
-    allow_deletions:
-        ``False`` models the insertion-only setting and rejects any
-        negative update at construction time.
-    cache:
-        Batch-cache policy for :meth:`batches` — ``"all"`` (default:
-        unbounded, right for small replayed streams), ``"lru"`` /
-        ``"lru:<bytes>"`` (bounded by a byte budget), ``"none"``, or a
-        :class:`~repro.streams.cache.BatchCachePolicy` instance.
-        Estimates are bit-identical across policies; the policy only
-        trades decode work against resident memory.
-
-    Notes
-    -----
-    The stream validates on construction that the final edge
-    multiplicities are all 0 or 1 and never dip below 0 — i.e. that
-    the updates describe a simple graph, as the paper's turnstile
-    model requires.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        updates: Sequence[Update],
-        allow_deletions: bool = False,
-        cache=None,
-    ) -> None:
-        self._n = n
-        self._updates: Tuple[Update, ...] = tuple(updates)
-        self._allow_deletions = allow_deletions
-        self._passes = 0
-        self._cache: BatchCachePolicy = resolve_cache_policy(cache)
-        self._columns = None
-        self._validate()
-
-    def _validate(self) -> None:
-        multiplicity: Dict[Edge, int] = {}
-        for index, update in enumerate(self._updates):
-            if not (0 <= update.u < self._n and 0 <= update.v < self._n):
-                raise StreamError(f"update #{index} touches vertex outside [0, {self._n})")
-            if update.delta < 0 and not self._allow_deletions:
-                raise StreamError(f"update #{index} is a deletion in an insertion-only stream")
-            edge = update.edge
-            count = multiplicity.get(edge, 0) + update.delta
-            if count < 0:
-                raise StreamError(f"update #{index} deletes absent edge {edge}")
-            if count > 1:
-                raise StreamError(f"update #{index} duplicates edge {edge}")
-            multiplicity[edge] = count
-        self._final_edges: Tuple[Edge, ...] = tuple(
-            sorted(edge for edge, count in multiplicity.items() if count == 1)
-        )
-
-    # -- stream interface ------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Vertex count of the underlying graph."""
-        return self._n
-
-    @property
-    def length(self) -> int:
-        """Number of stream elements (insertions + deletions)."""
-        return len(self._updates)
-
-    @property
-    def net_edge_count(self) -> int:
-        """m: edges of the final graph."""
-        return len(self._final_edges)
-
-    @property
-    def allows_deletions(self) -> bool:
-        return self._allow_deletions
-
-    def updates(self) -> Iterator[Update]:
-        """Read one pass over the stream, counting it."""
-        self._passes += 1
-        return iter(self._updates)
-
-    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The whole stream as ``(u, v, delta)`` ``int64`` columns.
-
-        Decoded once and shared with the batch pipeline; does **not**
-        count a pass.  The public bridge to the array-based ingestion
-        layer (:func:`repro.streams.datasets.write_binary_updates`, the
-        scenario generators) — callers must not mutate the arrays.
-        """
-        if self._columns is None:
-            length = len(self._updates)
-            self._columns = tuple(
-                np.fromiter(
-                    (getattr(update, field) for update in self._updates),
-                    dtype=np.int64,
-                    count=length,
-                )
-                for field in ("u", "v", "delta")
-            )
-        return self._columns
-
-    def _decode_batch(self, start: int, stop: int) -> "EdgeBatch":
-        u, v, delta = self.columns()
-        return EdgeBatch(u[start:stop], v[start:stop], delta[start:stop])
-
     def final_graph(self) -> Graph:
-        """The graph the stream describes (updates applied in order)."""
-        return Graph(self._n, self._final_edges)
+        """The graph the stream describes (updates applied in order).
 
-    def __len__(self) -> int:
-        return len(self._updates)
-
-    def __repr__(self) -> str:
-        kind = "turnstile" if self._allow_deletions else "insertion-only"
-        return (
-            f"EdgeStream({kind}, n={self._n}, length={self.length}, "
-            f"m={self.net_edge_count}, passes_used={self._passes})"
-        )
+        Checks the whole stream against the stream model on the way
+        and does not count a pass.  O(m) memory: meant for small
+        streams and tests — the estimators never need it.
+        """
+        live: Set[Edge] = set()
+        for index, batch in enumerate(self._windows()):
+            check_updates(
+                self._n, batch.u, batch.v, batch.delta, self._allow_deletions,
+                live=live, offset=index * DEFAULT_CHUNK_SIZE,
+            )
+        return Graph(self._n, sorted(live))
 
 
 class ColumnEdgeStream(CachedBatchStream):
-    """A replayable stream over pre-decoded ``(u, v, delta)`` columns.
+    """A replayable, pass-counting stream over ``(u, v, delta)`` columns.
 
-    The array-native sibling of :class:`EdgeStream`: same protocol
-    (metadata, ``updates()``, ``batches()``, pass counting, cache
-    policy), but the contents live as three numpy columns instead of
-    :class:`Update` objects — no per-element dataclass cost to build,
-    and ``_decode_batch`` is a pure slice.  Used by the live engine
-    (:mod:`repro.engine.live`) to replay its journaled prefix through
-    the multi-pass estimators, and handy anywhere updates already
-    exist as arrays (scenario generators, ``.npz`` round trips).
+    The in-memory stream: the contents live as three ``int64`` numpy
+    columns and ``_decode_batch`` is a pure slice.  Used directly
+    wherever updates already exist as arrays (the live engine's
+    journaled prefix, scenario generators, ``.npz`` round trips), and
+    through :class:`EdgeStream` for :class:`Update` sequences.
 
-    ``net_edge_count`` may be passed by callers that already validated
-    the stream (the live journal validates incrementally); with
-    ``validate=True`` the columns are checked against the simple-graph
-    stream model exactly as :class:`EdgeStream` checks updates.
+    *delta* defaults to all insertions; *allow_deletions* defaults to
+    whether any delta is negative.  With ``validate=True`` (the
+    default) the columns are checked by :func:`check_updates` at
+    construction.  Callers that already validated the stream (the live
+    journal validates incrementally) may pass ``validate=False`` with
+    the *net_edge_count* they know.
+
+    *cache* is the batch-cache policy for :meth:`batches` — ``"all"``
+    (default: unbounded, right for small replayed streams), ``"lru"`` /
+    ``"lru:<bytes>"`` (bounded by a byte budget), ``"none"``, or a
+    :class:`~repro.streams.cache.BatchCachePolicy` instance.  Estimates
+    are bit-identical across policies; the policy only trades decode
+    work against resident memory.
     """
 
     def __init__(
@@ -299,109 +330,59 @@ class ColumnEdgeStream(CachedBatchStream):
     ) -> None:
         if n < 1:
             raise StreamError(f"column stream needs n >= 1, got {n}")
-        self._n = int(n)
         self._u = np.ascontiguousarray(u, dtype=np.int64)
         self._v = np.ascontiguousarray(v, dtype=np.int64)
         if delta is None:
             delta = np.ones(len(self._u), dtype=np.int64)
         self._delta = np.ascontiguousarray(delta, dtype=np.int64)
-        if not (len(self._u) == len(self._v) == len(self._delta)):
-            raise StreamError("u/v/delta column lengths differ")
         if allow_deletions is None:
-            allow_deletions = bool(len(self._delta)) and bool((self._delta < 0).any())
-        self._allow_deletions = bool(allow_deletions)
-        self._passes = 0
-        self._cache: BatchCachePolicy = resolve_cache_policy(cache)
+            allow_deletions = bool((self._delta < 0).any())
         if validate:
-            self._final_edges: Optional[Tuple[Edge, ...]] = self._validate()
-            self._net = len(self._final_edges)
-        else:
-            self._final_edges = None
-            self._net = (
-                int(net_edge_count)
-                if net_edge_count is not None
-                else int(self._delta.sum())
-            )
-
-    def _validate(self) -> Tuple[Edge, ...]:
-        multiplicity: Dict[Edge, int] = {}
-        for index, (u, v, delta) in enumerate(
-            zip(self._u.tolist(), self._v.tolist(), self._delta.tolist())
-        ):
-            if u == v:
-                raise StreamError(f"update #{index} is a self-loop ({u}, {v})")
-            if not (0 <= u < self._n and 0 <= v < self._n):
-                raise StreamError(
-                    f"update #{index} touches vertex outside [0, {self._n})"
-                )
-            if delta not in (1, -1):
-                raise StreamError(
-                    f"update #{index} delta must be +1 or -1, got {delta}"
-                )
-            if delta < 0 and not self._allow_deletions:
-                raise StreamError(
-                    f"update #{index} is a deletion in an insertion-only stream"
-                )
-            edge = normalize_edge(u, v)
-            count = multiplicity.get(edge, 0) + delta
-            if count < 0:
-                raise StreamError(f"update #{index} deletes absent edge {edge}")
-            if count > 1:
-                raise StreamError(f"update #{index} duplicates edge {edge}")
-            multiplicity[edge] = count
-        return tuple(sorted(e for e, count in multiplicity.items() if count == 1))
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def length(self) -> int:
-        return len(self._u)
-
-    @property
-    def net_edge_count(self) -> int:
-        return self._net
-
-    @property
-    def allows_deletions(self) -> bool:
-        return self._allow_deletions
+            check_updates(n, self._u, self._v, self._delta, allow_deletions, live=set())
+            net_edge_count = None
+        elif not len(self._u) == len(self._v) == len(self._delta):
+            raise StreamError("u/v/delta column lengths differ")
+        if net_edge_count is None:
+            net_edge_count = int(self._delta.sum())
+        super().__init__(n, len(self._u), net_edge_count, allow_deletions, cache)
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The backing ``(u, v, delta)`` columns (do not mutate)."""
+        """The whole stream as ``(u, v, delta)`` ``int64`` columns.
+
+        Does **not** count a pass.  The public bridge to the
+        array-based ingestion layer
+        (:func:`repro.streams.datasets.write_binary_updates`, the
+        scenario generators, the live engine's ``feed``) — callers must
+        not mutate the arrays.
+        """
         return self._u, self._v, self._delta
-
-    def updates(self) -> Iterator[Update]:
-        """Read one pass as :class:`Update` objects, counting it."""
-        self._passes += 1
-
-        def generate() -> Iterator[Update]:
-            for u, v, delta in zip(
-                self._u.tolist(), self._v.tolist(), self._delta.tolist()
-            ):
-                yield Update(u, v, delta)
-
-        return generate()
 
     def _decode_batch(self, start: int, stop: int) -> "EdgeBatch":
         return EdgeBatch(
             self._u[start:stop], self._v[start:stop], self._delta[start:stop]
         )
 
-    def final_graph(self) -> Graph:
-        """The graph the columns describe (computed on demand)."""
-        if self._final_edges is None:
-            self._final_edges = self._validate()
-        return Graph(self._n, self._final_edges)
 
-    def __len__(self) -> int:
-        return len(self._u)
+class EdgeStream(ColumnEdgeStream):
+    """A :class:`ColumnEdgeStream` built from a sequence of :class:`Update`\\ s.
 
-    def __repr__(self) -> str:
-        kind = "turnstile" if self._allow_deletions else "insertion-only"
-        return (
-            f"ColumnEdgeStream({kind}, n={self._n}, length={self.length}, "
-            f"m={self._net}, passes_used={self._passes})"
+    *allow_deletions* ``False`` models the insertion-only setting and
+    rejects any negative update at construction time, as does every
+    other violation of the stream model (see :func:`check_updates`).
+    *cache* is as for :class:`ColumnEdgeStream`.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        updates: Iterable[Update],
+        allow_deletions: bool = False,
+        cache=None,
+    ) -> None:
+        batch = EdgeBatch.from_updates(tuple(updates))
+        super().__init__(
+            n, batch.u, batch.v, batch.delta,
+            allow_deletions=allow_deletions, cache=cache,
         )
 
 

@@ -26,6 +26,10 @@ oracle derives ``"l0edge-i-<position>"`` / ``"l0nbr-i-<position>"`` per
 f1 / f3 query in batch order.  Nothing here subclasses a production
 class or reads a private field.
 
+:func:`reference_check_updates` is the per-update statement of the
+simple-graph stream model that
+:func:`repro.streams.stream.check_updates` enforces column-wise.
+
 :func:`reference_fgp_run` drives the FGP counter (Theorems 1 and 17)
 against a reference oracle, drawing from the seed exactly like
 ``fgp_insertion_estimator`` / ``fgp_turnstile_estimator``.
@@ -33,7 +37,7 @@ against a reference oracle, drawing from the seed exactly like
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.fgp.rounds import SamplerMode, subgraph_sampler_rounds
 from repro.graph.graph import normalize_edge
@@ -259,3 +263,35 @@ def reference_fgp_run(stream, pattern, trials: int, rng, sampler_repetitions=Non
         run.outputs, trials, stream.net_edge_count, pattern.rho()
     )
     return estimate, oracle.passes
+
+
+def reference_check_updates(
+    n: int, u, v, delta, allow_deletions: bool, live: Optional[Set] = None
+) -> Tuple[Optional[int], Optional[Set]]:
+    """``(first offending index or None, live edges after the updates)``.
+
+    Walks the updates one at a time and stops at the first that has a
+    self-loop, an endpoint outside ``[0, n)``, a delta other than ±1, a
+    deletion when *allow_deletions* is false, or — unless *live* is
+    ``None`` (stateless rules only) — takes its edge's multiplicity
+    outside {0, 1}, starting from the edges in *live*.  The live set
+    returned is the one before the offending update.
+    """
+    present = None if live is None else set(live)
+    for index, (a, b, d) in enumerate(zip(list(u), list(v), list(delta))):
+        a, b, d = int(a), int(b), int(d)
+        if a == b or not (0 <= a < n and 0 <= b < n) or d not in (1, -1):
+            return index, present
+        if d < 0 and not allow_deletions:
+            return index, present
+        if present is None:
+            continue
+        edge = normalize_edge(a, b)
+        count = (edge in present) + d
+        if count not in (0, 1):
+            return index, present
+        if count:
+            present.add(edge)
+        else:
+            present.discard(edge)
+    return None, present

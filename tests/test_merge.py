@@ -58,6 +58,13 @@ def _turnstile_fixture():
     return turnstile_churn_stream(graph, churn_edges=25, rng=4)
 
 
+def _dense_turnstile_fixture():
+    # Dense enough that the 3 × 32-trial triangle run below succeeds:
+    # its unsharded per-copy estimates are nonzero (median > 0).
+    graph = generators.gnp(40, 0.4, rng=3)
+    return turnstile_churn_stream(graph, churn_edges=25, rng=4)
+
+
 def _hash_shards(stream, count):
     from repro.streams.datasets import stream_shard_views
 
@@ -264,11 +271,12 @@ class TestShardedEndToEnd:
     def test_shard_count_invariance(self, shards):
         # The acceptance rail: sharded turnstile runs are bit-equal to
         # the unsharded mirror run at shard counts {1, 2, 3, 8}.
-        stream = _turnstile_fixture()
+        stream = _dense_turnstile_fixture()
         pattern = patterns.triangle()
         unsharded = count_subgraphs_turnstile_fused(
             stream, pattern, copies=3, trials=32, rng=9, mode=FusionMode.MIRROR
         )
+        assert unsharded.estimate > 0
         sharded = count_subgraphs_turnstile_sharded(
             _hash_shards(stream, shards), pattern, copies=3, trials=32, rng=9
         )

@@ -1,9 +1,14 @@
 """Tests for the stream substrate."""
 
+import random
+
+import numpy as np
 import pytest
 
+from repro.engine.live import UpdateJournal
 from repro.errors import StreamError
 from repro.graph import generators as gen
+from repro.streams.datasets import BinaryUpdateWriter, DiskEdgeStream
 from repro.streams.generators import (
     adversarial_order_stream,
     concatenate_streams,
@@ -12,7 +17,15 @@ from repro.streams.generators import (
     turnstile_churn_stream,
 )
 from repro.streams.space import SpaceMeter
-from repro.streams.stream import EdgeStream, Update, insertion_stream, turnstile_stream
+from repro.streams.stream import (
+    ColumnEdgeStream,
+    EdgeStream,
+    Update,
+    insertion_stream,
+    turnstile_stream,
+)
+
+from reference import reference_check_updates
 
 
 class TestUpdate:
@@ -139,6 +152,119 @@ class TestStreamBuilders:
         for part in parts:
             # Constructing the EdgeStream validates prefix-nonnegativity.
             assert part.allows_deletions
+
+
+def _fuzz_columns(rng: random.Random, n: int, allow_deletions: bool):
+    """Random ``(u, v, delta)`` columns: a valid walk plus a few faults.
+
+    The faults (self-loop, endpoint out of range, bad delta, deletion,
+    deleting an absent edge, repeating an insertion) are inserted at
+    random positions; whether and where they break the stream model is
+    for the reference to say.
+    """
+    present = set()
+    rows = []
+    for _ in range(rng.randrange(0, 40)):
+        absent = [(a, b) for a in range(n) for b in range(a + 1, n)
+                  if (a, b) not in present]
+        if present and (not absent or (allow_deletions and rng.random() < 0.4)):
+            edge, delta = rng.choice(sorted(present)), -1
+            present.discard(edge)
+        else:
+            edge, delta = rng.choice(absent), 1
+            present.add(edge)
+        a, b = edge if rng.random() < 0.5 else edge[::-1]
+        rows.append((a, b, delta))
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        a, b = rng.sample(range(n), 2)
+        repeat = rng.choice(rows) if rows else (a, b, 1)
+        fault = rng.choice([
+            (a, a, 1),
+            (a, rng.choice([n, n + 2, -1]), 1),
+            (a, b, rng.choice([0, 2, -2])),
+            (a, b, -1), (a, b, -1),
+            repeat, repeat, repeat,
+        ])
+        rows.insert(rng.randrange(len(rows) + 1), fault)
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return tuple(np.ascontiguousarray(column) for column in columns)
+
+
+def _cuts(rng: random.Random, length: int):
+    points = sorted(rng.sample(range(1, length), rng.randrange(min(4, length))))
+    if length:
+        points.append(length)
+    return list(zip([0] + points, points))
+
+
+def _edges(graph):
+    return sorted(graph.edges())
+
+
+class TestCheckUpdatesAgainstReference:
+    """The columnar stream-model check equals the per-update reference
+    on stream construction, the live journal and the binary writer."""
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_stream_construction(self, seed):
+        rng = random.Random(seed)
+        n, allow = rng.randrange(2, 8), rng.random() < 0.6
+        u, v, d = _fuzz_columns(rng, n, allow)
+        bad, live = reference_check_updates(n, u, v, d, allow, live=set())
+        if bad is None:
+            stream = ColumnEdgeStream(n, u, v, d, allow_deletions=allow)
+            assert _edges(stream.final_graph()) == sorted(live)
+            assert stream.net_edge_count == len(live)
+        else:
+            with pytest.raises(StreamError, match=f"update #{bad} "):
+                ColumnEdgeStream(n, u, v, d, allow_deletions=allow)
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_journal_append_at_random_cuts(self, seed):
+        rng = random.Random(1000 + seed)
+        n, allow = rng.randrange(2, 8), rng.random() < 0.6
+        u, v, d = _fuzz_columns(rng, n, allow)
+        bad, live = reference_check_updates(n, u, v, d, allow, live=set())
+        journal = UpdateJournal(n, allow)
+        for start, stop in _cuts(rng, len(u)):
+            if bad is not None and bad < stop:
+                with pytest.raises(StreamError, match=f"update #{bad} "):
+                    journal.append(u[start:stop], v[start:stop], d[start:stop])
+                assert journal.length == start
+                assert all(
+                    np.array_equal(kept, column[:start])
+                    for kept, column in zip(journal.columns(), (u, v, d))
+                )
+                # The rejected chunk left the live edges untouched: its
+                # valid head is accepted as if the chunk never came.
+                journal.append(u[start:bad], v[start:bad], d[start:bad])
+                break
+            journal.append(u[start:stop], v[start:stop], d[start:stop])
+        assert journal.length == (len(u) if bad is None else bad)
+        assert _edges(journal.freeze_stream().final_graph()) == sorted(live)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_binary_writer_at_random_cuts(self, seed, tmp_path):
+        rng = random.Random(2000 + seed)
+        n, allow = rng.randrange(2, 8), rng.random() < 0.6
+        u, v, d = _fuzz_columns(rng, n, allow)
+        stateless, _ = reference_check_updates(n, u, v, d, allow)
+        bad, live = reference_check_updates(n, u, v, d, allow, live=set())
+        path = tmp_path / "fuzz.reb"
+        with BinaryUpdateWriter(path, n, allow_deletions=allow) as writer:
+            for start, stop in _cuts(rng, len(u)):
+                if stateless is not None and stateless < stop:
+                    with pytest.raises(StreamError, match=f"update #{stateless} "):
+                        writer.append(u[start:stop], v[start:stop], d[start:stop])
+                    writer.abort()
+                    return
+                writer.append(u[start:stop], v[start:stop], d[start:stop])
+        stream = DiskEdgeStream(path)
+        if bad is None:
+            assert _edges(stream.final_graph()) == sorted(live)
+        else:
+            with pytest.raises(StreamError, match=f"update #{bad} "):
+                stream.final_graph()
 
 
 class TestSpaceMeter:
