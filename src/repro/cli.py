@@ -87,6 +87,7 @@ from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.patterns import pattern as zoo
 from repro.patterns.pattern import Pattern
+from repro.streaming.counters import FGP_COUNTERS, is_turnstile
 
 
 def parse_pattern(name: str) -> Pattern:
@@ -189,9 +190,7 @@ def _resolve_cache_spec(args: argparse.Namespace) -> Optional[str]:
 
 def _count(args: argparse.Namespace) -> int:
     from repro.streaming.adaptive import count_subgraphs_unknown
-    from repro.streaming.three_pass import count_subgraphs_insertion_only
-    from repro.streaming.turnstile import count_subgraphs_turnstile
-    from repro.streaming.two_pass import count_subgraphs_two_pass
+    from repro.streaming.counters import count_fgp
     from repro.streams.datasets import is_stream_path, open_disk_stream
     from repro.streams.generators import turnstile_churn_stream
     from repro.streams.stream import insertion_stream
@@ -217,7 +216,7 @@ def _count(args: argparse.Namespace) -> int:
     if sharded and args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2
-    if sharded and args.algorithm != "turnstile":
+    if sharded and not is_turnstile(args.algorithm):
         print("error: --shards requires --algorithm turnstile: the insertion "
               "paths answer from reservoir samplers whose draws depend on the "
               "global stream order, so per-shard states cannot be merged "
@@ -277,14 +276,14 @@ def _count(args: argparse.Namespace) -> int:
         # The engine's cache= knob would re-apply the same policy; the
         # disk stream already carries it, so the dispatch passes None.
         cache = None
-        if stream.allows_deletions and args.algorithm != "turnstile":
+        if stream.allows_deletions and not is_turnstile(args.algorithm):
             print("error: stream file contains deletions; use --algorithm turnstile",
                   file=sys.stderr)
             return 2
     else:
         graph = read_edge_list(args.graph)
         churn = args.churn if args.churn is not None else 50
-        if args.algorithm == "turnstile":
+        if is_turnstile(args.algorithm):
             stream = turnstile_churn_stream(graph, churn, rng=args.seed)
         else:
             stream = insertion_stream(graph, rng=args.seed)
@@ -335,19 +334,11 @@ def _count(args: argparse.Namespace) -> int:
         # thread/process backends the K copies shard across a worker
         # pool.  Mirror mode keeps the estimates identical across
         # backends and worker counts for a fixed seed.
-        from repro.engine import (
-            count_subgraphs_insertion_only_fused,
-            count_subgraphs_turnstile_fused,
-            count_subgraphs_two_pass_fused,
-        )
         from repro.engine.core import DEFAULT_BATCH_SIZE
+        from repro.engine.fused import count_fgp_fused
 
-        counter = {
-            "turnstile": count_subgraphs_turnstile_fused,
-            "two-pass": count_subgraphs_two_pass_fused,
-            "insertion": count_subgraphs_insertion_only_fused,
-        }[args.algorithm]
-        result = counter(
+        result = count_fgp_fused(
+            args.algorithm,
             stream,
             pattern,
             copies=copies,
@@ -362,12 +353,9 @@ def _count(args: argparse.Namespace) -> int:
     else:
         if cache is not None:
             stream.set_cache_policy(cache)
-        counter = {
-            "turnstile": count_subgraphs_turnstile,
-            "two-pass": count_subgraphs_two_pass,
-            "insertion": count_subgraphs_insertion_only,
-        }[args.algorithm]
-        result = counter(stream, pattern, trials=args.trials, rng=args.seed + 1)
+        result = count_fgp(
+            args.algorithm, stream, pattern, trials=args.trials, rng=args.seed + 1
+        )
     print(result.summary())
     if args.truth:
         truth = count_subgraphs(graph if graph is not None else stream.final_graph(),
@@ -440,11 +428,7 @@ class _FullyDegraded(Exception):
 
 def _live(args: argparse.Namespace) -> int:
     from repro.engine import EstimatorSpec, LiveEngine, median_estimate
-    from repro.engine.estimators import (
-        fgp_insertion_estimator,
-        fgp_turnstile_estimator,
-        fgp_two_pass_estimator,
-    )
+    from repro.engine.estimators import fgp_estimator
     from repro.errors import EngineError, EstimationError
 
     if args.checkpoint_every and not args.checkpoint:
@@ -462,15 +446,10 @@ def _live(args: argparse.Namespace) -> int:
         return 2
 
     pattern = parse_pattern(args.pattern)
-    factory = {
-        "insertion": fgp_insertion_estimator,
-        "turnstile": fgp_turnstile_estimator,
-        "two-pass": fgp_two_pass_estimator,
-    }[args.algorithm]
     n, deletions, chunks = _live_feed_chunks(
-        args, allow_deletions=args.algorithm == "turnstile"
+        args, allow_deletions=is_turnstile(args.algorithm)
     )
-    if deletions and args.algorithm != "turnstile":
+    if deletions and not is_turnstile(args.algorithm):
         print("error: the feed contains deletions; use --algorithm turnstile",
               file=sys.stderr)
         return 2
@@ -497,14 +476,14 @@ def _live(args: argparse.Namespace) -> int:
     else:
         engine = LiveEngine(
             n=n,
-            allow_deletions=deletions or args.algorithm == "turnstile",
+            allow_deletions=deletions or is_turnstile(args.algorithm),
             batch_size=args.batch_size or 4096,
         )
         for index, name in enumerate(names):
             engine.register_spec(EstimatorSpec(
                 name=name,
-                factory=factory,
-                kwargs=dict(pattern=pattern, trials=args.trials,
+                factory=fgp_estimator,
+                kwargs=dict(kind=args.algorithm, pattern=pattern, trials=args.trials,
                             rng=args.seed + 1 + index, name=name),
             ))
 
@@ -786,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("pattern", help="zoo pattern name")
     p_count.add_argument(
         "--algorithm",
-        choices=["insertion", "turnstile", "two-pass"],
+        choices=list(FGP_COUNTERS),
         default="insertion",
     )
     p_count.add_argument("--trials", type=int, default=5000)
@@ -845,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "or - for stdin 'u v [delta]' lines")
     p_live.add_argument("pattern", help="zoo pattern name")
     p_live.add_argument("--algorithm",
-                        choices=["insertion", "turnstile", "two-pass"],
+                        choices=list(FGP_COUNTERS),
                         default="insertion")
     p_live.add_argument("--copies", type=int, default=4,
                         help="mirror estimator copies (median reported)")
@@ -934,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stream scenarios; default: insertion "
                                "deletion_heavy")
     p_worlds.add_argument("--estimators", nargs="*", default=None,
-                          choices=["insertion", "turnstile", "two-pass"],
+                          choices=list(FGP_COUNTERS),
                           help="estimators to sweep (default: all three)")
     p_worlds.add_argument("--patterns", nargs="*", default=None,
                           help="zoo pattern names (default: triangle)")

@@ -15,9 +15,13 @@ uses, so a fused run consumes randomness identically and returns
 The ``fgp_*_estimator`` / ``ers_clique_estimator`` factories mirror the
 corresponding one-shot entry points parameter for parameter — same
 trial resolution, same rng derivation tree — differing only in who
-iterates the stream.  Baseline estimators (:class:`TriestEstimator`,
-:class:`DoulionEstimator`, :class:`ExactStreamEstimator`) are
-re-exported from :mod:`repro.baselines` for one-stop registration.
+iterates the stream.  The FGP ones are :func:`fgp_estimator` with the
+kind fixed; it and the fused-copy group factory
+:func:`fgp_group_estimator` build through
+:func:`repro.streaming.counters.fgp_counter_program`.  Baseline
+estimators (:class:`TriestEstimator`, :class:`DoulionEstimator`,
+:class:`ExactStreamEstimator`) are re-exported from
+:mod:`repro.baselines` for one-stop registration.
 
 Because the factories are module-level callables taking ``(stream,
 **picklable kwargs)``, they double as the ``factory`` of a
@@ -48,9 +52,7 @@ from repro.oracle.base import QueryAccounting
 from repro.patterns.pattern import Pattern
 from repro.streaming.ers.counter import clique_counter_program
 from repro.streaming.ers.params import ErsParameters
-from repro.streaming.three_pass import insertion_counter_program, resolve_trials
-from repro.streaming.turnstile import turnstile_counter_program
-from repro.streaming.two_pass import require_star_decomposable, two_pass_counter_program
+from repro.streaming.counters import copy_seeds, fgp_counter_program, resolve_trials
 from repro.streams.stream import EdgeStream
 from repro.transform.driver import LockstepState, RoundRunResult
 from repro.transform.insertion import InsertionStreamOracle
@@ -59,6 +61,7 @@ from repro.utils.rng import RandomSource, derive_rng, ensure_rng
 
 __all__ = [
     "RoundAdaptiveEstimator",
+    "fgp_estimator",
     "fgp_insertion_estimator",
     "fgp_turnstile_estimator",
     "fgp_two_pass_estimator",
@@ -314,6 +317,60 @@ class RoundAdaptiveEstimator:
         self._history = [list(answers) for answers in history]
 
 
+def fgp_estimator(
+    stream: EdgeStream,
+    kind: str,
+    pattern: Pattern,
+    epsilon: float = 0.1,
+    lower_bound: Optional[float] = None,
+    trials: Optional[int] = None,
+    rng: RandomSource = None,
+    param_mode: str = ParamMode.PRACTICAL,
+    sampler_repetitions: int = 8,
+    name: Optional[str] = None,
+) -> RoundAdaptiveEstimator:
+    """FGP counter *kind* (a key of :data:`~repro.streaming.counters.FGP_COUNTERS`)
+    as an engine estimator, named ``fgp-<kind>`` by default.
+
+    Same parameters and randomness tree as
+    :func:`~repro.streaming.counters.count_fgp`: the estimator is one
+    standalone copy, so a fused run with rng R equals the one-shot call
+    with rng R bit for bit.
+    """
+    k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
+    oracle_seed, trial_seeds = copy_seeds(rng, k)
+    oracle, generators, finalize = fgp_counter_program(
+        kind, stream, pattern, [trial_seeds], oracle_seed,
+        sampler_repetitions=sampler_repetitions,
+    )
+    return RoundAdaptiveEstimator(
+        name or f"fgp-{kind}", generators, oracle, lambda run: finalize(run)[0]
+    )
+
+
+def fgp_group_estimator(
+    stream,
+    kind: str,
+    pattern: Pattern,
+    trial_seeds: Sequence[Sequence[int]],
+    oracle_seed: int,
+    copy_indices: Optional[Sequence[int]],
+    name: str,
+    sampler_repetitions: int = 8,
+) -> RoundAdaptiveEstimator:
+    """Spec factory: one oracle shared by a group of fused copies.
+
+    ``trial_seeds[j][t]`` seeds the group's copy j's trial t; the result
+    is the list of the copies' results (see
+    :func:`~repro.streaming.counters.fgp_counter_program`).  A mirror
+    copy is a group of one with *copy_indices* ``None``.
+    """
+    oracle, generators, finalize = fgp_counter_program(
+        kind, stream, pattern, trial_seeds, oracle_seed, copy_indices, sampler_repetitions
+    )
+    return RoundAdaptiveEstimator(name, generators, oracle, finalize)
+
+
 def fgp_insertion_estimator(
     stream: EdgeStream,
     pattern: Pattern,
@@ -324,19 +381,11 @@ def fgp_insertion_estimator(
     param_mode: str = ParamMode.PRACTICAL,
     name: str = "fgp-insertion",
 ) -> RoundAdaptiveEstimator:
-    """Theorem 17's counter as an engine estimator.
-
-    Same parameters and randomness tree as
-    :func:`~repro.streaming.three_pass.count_subgraphs_insertion_only`;
-    a fused run with rng R equals the one-shot call with rng R bit for
-    bit.
-    """
-    random_state = ensure_rng(rng)
-    k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
-    oracle, generators, finalize = insertion_counter_program(
-        stream, pattern, k, random_state
+    """Theorem 17's counter as an engine estimator (mirrors
+    :func:`~repro.streaming.three_pass.count_subgraphs_insertion_only`)."""
+    return fgp_estimator(
+        stream, "insertion", pattern, epsilon, lower_bound, trials, rng, param_mode, name=name
     )
-    return RoundAdaptiveEstimator(name, generators, oracle, finalize)
 
 
 def fgp_turnstile_estimator(
@@ -352,12 +401,10 @@ def fgp_turnstile_estimator(
 ) -> RoundAdaptiveEstimator:
     """Theorem 1's turnstile counter as an engine estimator
     (mirrors :func:`~repro.streaming.turnstile.count_subgraphs_turnstile`)."""
-    random_state = ensure_rng(rng)
-    k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
-    oracle, generators, finalize = turnstile_counter_program(
-        stream, pattern, k, random_state, sampler_repetitions=sampler_repetitions
+    return fgp_estimator(
+        stream, "turnstile", pattern, epsilon, lower_bound, trials, rng, param_mode,
+        sampler_repetitions, name,
     )
-    return RoundAdaptiveEstimator(name, generators, oracle, finalize)
 
 
 def fgp_two_pass_estimator(
@@ -372,13 +419,9 @@ def fgp_two_pass_estimator(
 ) -> RoundAdaptiveEstimator:
     """The 2-pass star-decomposable counter as an engine estimator
     (mirrors :func:`~repro.streaming.two_pass.count_subgraphs_two_pass`)."""
-    require_star_decomposable(pattern)
-    random_state = ensure_rng(rng)
-    k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
-    oracle, generators, finalize = two_pass_counter_program(
-        stream, pattern, k, random_state
+    return fgp_estimator(
+        stream, "two-pass", pattern, epsilon, lower_bound, trials, rng, param_mode, name=name
     )
-    return RoundAdaptiveEstimator(name, generators, oracle, finalize)
 
 
 def ers_clique_estimator(

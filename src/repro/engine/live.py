@@ -117,7 +117,7 @@ import pickle
 import statistics
 import struct
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,7 +136,7 @@ from repro.engine.parallel import (
 from repro.errors import CheckpointError, EngineError, EstimationError, StreamError
 from repro.faults.plan import FaultPlan, fire as fire_fault
 from repro.streams.batch import EdgeBatch
-from repro.streams.stream import ColumnEdgeStream, Update, check_updates
+from repro.streams.stream import ColumnEdgeStream, LiveEdges, Update, check_updates
 from repro.utils.retry import RetryPolicy, retry_call
 
 __all__ = [
@@ -488,21 +488,18 @@ def median_estimate(results) -> float:
 class UpdateJournal:
     """The validated, append-only record of everything fed so far.
 
-    Doubles as the *live stream-metadata handle* the estimator
-    factories are built against: it exposes the
-    :class:`~repro.streams.stream.EdgeStream` metadata surface
-    (``n`` / ``length`` / ``net_edge_count`` / ``allows_deletions`` /
-    ``passes_used``) with values that track the feed — an estimator's
-    finalizer built against the journal always reads the *current*
-    edge count.  Iteration is refused (the live engine owns dispatch);
-    :meth:`freeze_stream` materializes the journaled prefix as a
+    Its metadata (``n`` / ``length`` / ``net_edge_count`` /
+    ``allows_deletions``) tracks the feed; the live estimators are
+    built against a :class:`~repro.engine.parallel.StreamHandle` of it,
+    and :meth:`freeze_stream` materializes the journaled prefix as a
     replayable :class:`~repro.streams.stream.ColumnEdgeStream` for the
     estimate/restore forks.
 
     Validation is incremental and atomic per append: each chunk goes
     through :func:`~repro.streams.stream.check_updates` (the stream
-    model every stream is held to) against the journal's set of live
-    edges, and a rejected chunk leaves the journal untouched.
+    model every stream is held to) against the journal's live edges
+    (:class:`~repro.streams.stream.LiveEdges`), and a rejected chunk
+    leaves the journal untouched.
     """
 
     def __init__(self, n: int, allow_deletions: bool = False) -> None:
@@ -513,10 +510,8 @@ class UpdateJournal:
         self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._length = 0
         self._net = 0
-        self._live: Set[Tuple[int, int]] = set()
+        self._live = LiveEdges(self._n)
         self._columns: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    # -- stream-metadata surface (what estimator factories consult) ------
 
     @property
     def n(self) -> int:
@@ -533,27 +528,6 @@ class UpdateJournal:
     @property
     def allows_deletions(self) -> bool:
         return self._allow_deletions
-
-    @property
-    def passes_used(self) -> int:
-        """Always 0: the live engine owns dispatch, not pass iteration."""
-        return 0
-
-    def reset_pass_count(self) -> None:
-        """No-op, for stream-protocol compatibility."""
-
-    def updates(self):
-        raise EngineError(
-            "the live journal cannot be iterated directly; the LiveEngine "
-            "dispatches fed batches itself — use freeze_stream() for a "
-            "replayable prefix"
-        )
-
-    def batches(self, batch_size=None):
-        return self.updates()
-
-    def __len__(self) -> int:
-        return self._length
 
     # -- appending --------------------------------------------------------
 
@@ -845,8 +819,9 @@ class LiveEngine:
                 "every registered estimator was lost with its worker; "
                 "nothing left to start"
             )
+        handle = StreamHandle.of(self._journal)
         if self._backend == EngineBackend.SERIAL:
-            self._estimators = [spec.build(self._journal) for spec in specs]
+            self._estimators = [spec.build(handle) for spec in specs]
             if states is None:
                 for estimator in self._estimators:
                     if estimator.wants_pass():
@@ -860,7 +835,7 @@ class LiveEngine:
         self._pool = spec_pool(
             self._backend,
             specs,
-            StreamHandle.of(self._journal),
+            handle,
             self._workers,
             self._reply_timeout,
             start_method=self._start_method,

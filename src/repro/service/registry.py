@@ -36,14 +36,16 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.estimators import fgp_estimator
 from repro.engine.live import (
     DEFAULT_MAX_DELTAS,
     LiveEngine,
     as_update_columns,
     median_estimate,
 )
-from repro.engine.parallel import EstimatorSpec
+from repro.engine.parallel import EstimatorSpec, build_triest
 from repro.errors import EngineError, EstimationError, ReproError, ServiceError
+from repro.streaming.counters import FGP_COUNTERS, is_turnstile
 
 __all__ = [
     "CheckpointPolicy",
@@ -185,22 +187,6 @@ class ServiceLimits:
 
 #: Declarative estimator names accepted over the wire, mapped to the
 #: spec factories the engine rebuilds workers from.
-def _wire_factories():
-    from repro.engine.estimators import (
-        fgp_insertion_estimator,
-        fgp_turnstile_estimator,
-        fgp_two_pass_estimator,
-    )
-    from repro.engine.parallel import build_triest
-
-    return {
-        "insertion": fgp_insertion_estimator,
-        "turnstile": fgp_turnstile_estimator,
-        "two-pass": fgp_two_pass_estimator,
-        "triest": build_triest,
-    }
-
-
 @dataclass(frozen=True)
 class StreamConfig:
     """Everything needed to create a stream's engine from scratch.
@@ -256,40 +242,35 @@ class StreamConfig:
                 f"stream config is missing required field(s): "
                 f"{', '.join(missing)}"
             )
-        factories = _wire_factories()
         kind = doc["estimator"]
-        if kind not in factories:
+        if kind not in FGP_COUNTERS and kind != "triest":
             raise ServiceError(
                 f"unknown estimator {kind!r}; expected one of "
-                f"{sorted(factories)}"
+                f"{sorted([*FGP_COUNTERS, 'triest'])}"
             )
         copies = int(doc.get("copies", 3))
         if copies < 1:
             raise ServiceError(f"copies must be >= 1, got {copies}")
         seed = int(doc.get("seed", 0))
-        factory = factories[kind]
-        specs: List[EstimatorSpec] = []
-        for index in range(copies):
-            name = f"copy-{index}"
-            if kind == "triest":
-                kwargs: Dict[str, Any] = dict(
-                    capacity=int(doc.get("capacity", 256)),
-                    rng=seed + 1 + index,
-                    name=name,
-                )
-            else:
-                from repro.cli import parse_pattern
+        if kind == "triest":
+            factory, options = build_triest, dict(capacity=int(doc.get("capacity", 256)))
+        else:
+            from repro.cli import parse_pattern
 
-                kwargs = dict(
-                    pattern=parse_pattern(doc.get("pattern", "triangle")),
-                    trials=doc.get("trials"),
-                    rng=seed + 1 + index,
-                    name=name,
-                )
-            specs.append(EstimatorSpec(name=name, factory=factory,
-                                       kwargs=kwargs))
-        allow_deletions = bool(doc.get("allow_deletions",
-                                       kind == "turnstile"))
+            factory, options = fgp_estimator, dict(
+                kind=kind,
+                pattern=parse_pattern(doc.get("pattern", "triangle")),
+                trials=doc.get("trials"),
+            )
+        specs = [
+            EstimatorSpec(
+                name=f"copy-{index}",
+                factory=factory,
+                kwargs=dict(options, rng=seed + 1 + index, name=f"copy-{index}"),
+            )
+            for index in range(copies)
+        ]
+        allow_deletions = bool(doc.get("allow_deletions", is_turnstile(kind)))
         policy = doc.get("checkpoint")
         if isinstance(policy, dict):
             policy = CheckpointPolicy.from_wire(policy)

@@ -26,6 +26,7 @@ from repro.estimate.concentration import ParamMode
 from repro.estimate.result import EstimateResult
 from repro.estimate.search import geometric_search
 from repro.patterns.pattern import Pattern
+from repro.streaming.counters import resolve_trials
 from repro.streaming.three_pass import count_subgraphs_insertion_only
 from repro.streams.stream import EdgeStream
 from repro.utils.rng import RandomSource, derive_rng, ensure_rng
@@ -71,24 +72,19 @@ def count_subgraphs_unknown(
     probes = []
 
     def probe(guess: float) -> float:
-        result = count_subgraphs_insertion_only(
-            stream,
-            pattern,
-            epsilon=epsilon,
-            lower_bound=max(guess, 1.0),
-            trials=None,
-            rng=derive_rng(random_state, f"probe-{len(probes)}"),
-            param_mode=param_mode,
+        budget = resolve_trials(
+            stream, pattern, epsilon, max(guess, 1.0), None, param_mode
         )
-        if result.trials >= max_trials_per_probe:
-            # Re-run capped (resolve_trials has no cap of its own).
-            result = count_subgraphs_insertion_only(
-                stream,
-                pattern,
-                trials=max_trials_per_probe,
-                rng=derive_rng(random_state, f"probe-cap-{len(probes)}"),
-                param_mode=param_mode,
-            )
+        rng = derive_rng(random_state, f"probe-{len(probes)}")
+        if budget >= max_trials_per_probe:
+            # Resolve the cap before running, so a capped probe never
+            # pays its full budget.  It still draws the uncapped rng
+            # first: the probe rngs follow one derivation order.
+            budget = max_trials_per_probe
+            rng = derive_rng(random_state, f"probe-cap-{len(probes)}")
+        result = count_subgraphs_insertion_only(
+            stream, pattern, trials=budget, rng=rng, param_mode=param_mode
+        )
         probes.append(result)
         return result.estimate
 

@@ -13,49 +13,21 @@ oracle's space meter.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
-from repro.errors import EstimationError
-from repro.estimate.concentration import ParamMode, chernoff_trials
+from repro.estimate.concentration import ParamMode
 from repro.estimate.result import EstimateResult
-from repro.fgp.rounds import SampledCopy, SamplerMode, subgraph_sampler_rounds
+from repro.fgp.rounds import SampledCopy
 from repro.patterns.pattern import Pattern
+from repro.streaming.counters import (
+    copy_seeds,
+    count_fgp,
+    fgp_counter_program,
+    resolve_trials,
+)
 from repro.streams.stream import EdgeStream
 from repro.transform.driver import run_round_adaptive
-from repro.transform.insertion import InsertionStreamOracle
-from repro.utils.rng import RandomSource, derive_rng, ensure_rng
-
-
-def resolve_trials(
-    stream: EdgeStream,
-    pattern: Pattern,
-    epsilon: float,
-    lower_bound: Optional[float],
-    trials: Optional[int],
-    mode: str = ParamMode.PRACTICAL,
-) -> int:
-    """The instance budget k for a counting run.
-
-    Explicit *trials* wins; otherwise the Chernoff budget for the
-    given ε and lower bound L is used (the common convention of
-    parameterizing by #H — see §1.1 of the paper; the harness knows m
-    because it generated the stream).
-    """
-    if trials is not None:
-        if trials < 1:
-            raise EstimationError(f"trials must be >= 1, got {trials}")
-        return trials
-    if lower_bound is None:
-        raise EstimationError("either trials or lower_bound must be given")
-    return chernoff_trials(
-        m=max(1, stream.net_edge_count),
-        rho=pattern.rho(),
-        epsilon=epsilon,
-        n=stream.n,
-        lower_bound=lower_bound,
-        mode=mode,
-    )
+from repro.utils.rng import RandomSource
 
 
 def sample_copies_stream(
@@ -70,67 +42,11 @@ def sample_copies_stream(
     the uniform-sampling experiments (each fixed copy appears with
     probability 1/(2m)^ρ(H) per instance, independently).
     """
-    random_state = ensure_rng(rng)
-    oracle = InsertionStreamOracle(stream, derive_rng(random_state, "oracle"))
-    generators = [
-        subgraph_sampler_rounds(
-            pattern, rng=derive_rng(random_state, i), mode=SamplerMode.AUGMENTED
-        )
-        for i in range(instances)
-    ]
-    result = run_round_adaptive(generators, oracle)
-    return result.outputs
-
-
-def fgp_success_estimate(
-    outputs, trials: int, m: int, rho: float
-) -> tuple:
-    """(successes, estimate) from a run's sampler outputs."""
-    successes = sum(1 for output in outputs if output is not None)
-    estimate = (successes / trials) * (2.0 * m) ** rho if m else 0.0
-    return successes, estimate
-
-
-def insertion_counter_program(
-    stream: EdgeStream, pattern: Pattern, trials: int, random_state
-):
-    """Build the Theorem 17 run as an ``(oracle, generators, finalize)`` triple.
-
-    Shared by :func:`count_subgraphs_insertion_only` (which drives it
-    with :func:`~repro.transform.driver.run_round_adaptive`) and by
-    :mod:`repro.engine` (which fuses the same rounds into shared stream
-    passes), so both paths consume randomness identically and produce
-    bit-identical estimates for the same seeds.
-    """
-    oracle = InsertionStreamOracle(stream, derive_rng(random_state, "oracle"))
-    generators = [
-        subgraph_sampler_rounds(
-            pattern, rng=derive_rng(random_state, i), mode=SamplerMode.AUGMENTED
-        )
-        for i in range(trials)
-    ]
-
-    def finalize(run) -> EstimateResult:
-        m = stream.net_edge_count
-        rho = pattern.rho()
-        successes, estimate = fgp_success_estimate(run.outputs, trials, m, rho)
-        return EstimateResult(
-            algorithm="fgp-3pass-insertion",
-            pattern=pattern.name,
-            estimate=estimate,
-            passes=run.rounds,
-            space_words=oracle.space.peak_words,
-            trials=trials,
-            successes=successes,
-            m=m,
-            details={
-                "rho": rho,
-                "queries": float(run.total_queries),
-                "success_rate": successes / trials,
-            },
-        )
-
-    return oracle, generators, finalize
+    oracle_seed, trial_seeds = copy_seeds(rng, instances)
+    oracle, generators, _ = fgp_counter_program(
+        "insertion", stream, pattern, [trial_seeds], oracle_seed
+    )
+    return run_round_adaptive(generators, oracle).outputs
 
 
 def count_subgraphs_insertion_only(
@@ -153,11 +69,6 @@ def count_subgraphs_insertion_only(
     epsilon, lower_bound, trials, param_mode:
         Trial-budget controls; see :func:`resolve_trials`.
     """
-    random_state = ensure_rng(rng)
-    k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
-
-    stream.reset_pass_count()
-    oracle, generators, finalize = insertion_counter_program(
-        stream, pattern, k, random_state
+    return count_fgp(
+        "insertion", stream, pattern, epsilon, lower_bound, trials, rng, param_mode
     )
-    return finalize(run_round_adaptive(generators, oracle))

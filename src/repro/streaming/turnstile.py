@@ -18,13 +18,10 @@ from typing import Optional
 
 from repro.estimate.concentration import ParamMode
 from repro.estimate.result import EstimateResult
-from repro.fgp.rounds import SamplerMode, subgraph_sampler_rounds
 from repro.patterns.pattern import Pattern
-from repro.streaming.three_pass import fgp_success_estimate, resolve_trials
+from repro.streaming.counters import count_fgp
 from repro.streams.stream import EdgeStream
-from repro.transform.driver import run_round_adaptive
-from repro.transform.turnstile import TurnstileStreamOracle
-from repro.utils.rng import RandomSource, derive_rng, ensure_rng
+from repro.utils.rng import RandomSource
 
 
 def count_subgraphs_turnstile(
@@ -43,58 +40,7 @@ def count_subgraphs_turnstile(
     graph (all updates applied).  *sampler_repetitions* trades ℓ0
     failure probability against space.
     """
-    random_state = ensure_rng(rng)
-    k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
-
-    stream.reset_pass_count()
-    oracle, generators, finalize = turnstile_counter_program(
-        stream, pattern, k, random_state, sampler_repetitions=sampler_repetitions
+    return count_fgp(
+        "turnstile", stream, pattern, epsilon, lower_bound, trials, rng, param_mode,
+        sampler_repetitions,
     )
-    return finalize(run_round_adaptive(generators, oracle))
-
-
-def turnstile_counter_program(
-    stream: EdgeStream,
-    pattern: Pattern,
-    trials: int,
-    random_state,
-    sampler_repetitions: int = 8,
-):
-    """The Theorem 1 run as an ``(oracle, generators, finalize)`` triple.
-
-    Shared by :func:`count_subgraphs_turnstile` and :mod:`repro.engine`
-    (see :func:`repro.streaming.three_pass.insertion_counter_program`).
-    """
-    oracle = TurnstileStreamOracle(
-        stream,
-        derive_rng(random_state, "oracle"),
-        sampler_repetitions=sampler_repetitions,
-    )
-    generators = [
-        subgraph_sampler_rounds(
-            pattern, rng=derive_rng(random_state, i), mode=SamplerMode.RELAXED
-        )
-        for i in range(trials)
-    ]
-
-    def finalize(run) -> EstimateResult:
-        m = stream.net_edge_count
-        rho = pattern.rho()
-        successes, estimate = fgp_success_estimate(run.outputs, trials, m, rho)
-        return EstimateResult(
-            algorithm="fgp-3pass-turnstile",
-            pattern=pattern.name,
-            estimate=estimate,
-            passes=run.rounds,
-            space_words=oracle.space.peak_words,
-            trials=trials,
-            successes=successes,
-            m=m,
-            details={
-                "rho": rho,
-                "queries": float(run.total_queries),
-                "success_rate": successes / trials,
-            },
-        )
-
-    return oracle, generators, finalize

@@ -28,35 +28,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import EstimationError
 from repro.estimate.concentration import ParamMode
 from repro.estimate.result import EstimateResult
-from repro.fgp.rounds import SamplerMode, subgraph_sampler_rounds
 from repro.patterns.pattern import Pattern
-from repro.streaming.three_pass import fgp_success_estimate, resolve_trials
+from repro.streaming.counters import count_fgp, is_star_decomposable
 from repro.streams.stream import EdgeStream
-from repro.transform.driver import run_round_adaptive
-from repro.transform.insertion import InsertionStreamOracle
-from repro.utils.rng import RandomSource, derive_rng, ensure_rng
-
-
-def is_star_decomposable(pattern: Pattern) -> bool:
-    """Whether H's optimal Lemma 4 decomposition uses only stars."""
-    return not pattern.decomposition().cycle_lengths
-
-
-def require_star_decomposable(pattern: Pattern) -> None:
-    """Raise unless the 2-pass counter supports *pattern*.
-
-    The single home of the guard (and its message) shared by the
-    one-shot counter and the engine's 2-pass entry points.
-    """
-    if not is_star_decomposable(pattern):
-        cycles = pattern.decomposition().cycle_lengths
-        raise EstimationError(
-            f"pattern {pattern.name!r} decomposes with odd cycles {cycles}; "
-            "the 2-pass counter requires a star-only decomposition"
-        )
+from repro.utils.rng import RandomSource
 
 
 def count_subgraphs_two_pass(
@@ -75,55 +52,6 @@ def count_subgraphs_two_pass(
     accuracy match :func:`~repro.streaming.three_pass.count_subgraphs_insertion_only`
     at the same trial budget — only the pass count differs.
     """
-    require_star_decomposable(pattern)
-    random_state = ensure_rng(rng)
-    k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
-
-    stream.reset_pass_count()
-    oracle, generators, finalize = two_pass_counter_program(
-        stream, pattern, k, random_state
+    return count_fgp(
+        "two-pass", stream, pattern, epsilon, lower_bound, trials, rng, param_mode
     )
-    return finalize(run_round_adaptive(generators, oracle))
-
-
-def two_pass_counter_program(
-    stream: EdgeStream, pattern: Pattern, trials: int, random_state
-):
-    """The 2-pass run as an ``(oracle, generators, finalize)`` triple.
-
-    Shared by :func:`count_subgraphs_two_pass` and :mod:`repro.engine`
-    (see :func:`repro.streaming.three_pass.insertion_counter_program`).
-    The caller is responsible for the :func:`is_star_decomposable` check.
-    """
-    oracle = InsertionStreamOracle(stream, derive_rng(random_state, "oracle"))
-    generators = [
-        subgraph_sampler_rounds(
-            pattern,
-            rng=derive_rng(random_state, i),
-            mode=SamplerMode.AUGMENTED,
-            skip_empty_wedge_round=True,
-        )
-        for i in range(trials)
-    ]
-
-    def finalize(run) -> EstimateResult:
-        m = stream.net_edge_count
-        rho = pattern.rho()
-        successes, estimate = fgp_success_estimate(run.outputs, trials, m, rho)
-        return EstimateResult(
-            algorithm="fgp-2pass-insertion",
-            pattern=pattern.name,
-            estimate=estimate,
-            passes=run.rounds,
-            space_words=oracle.space.peak_words,
-            trials=trials,
-            successes=successes,
-            m=m,
-            details={
-                "rho": rho,
-                "queries": float(run.total_queries),
-                "success_rate": successes / trials,
-            },
-        )
-
-    return oracle, generators, finalize

@@ -873,6 +873,12 @@ class ShardView(CachedBatchStream):
             np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
         )
         super().__init__(base.n, len(self._rows), net, base.allows_deletions, cache)
+        # Shards route by edge, so checking one shard's updates is exact.
+        self._checked = base._checked
+
+    def _offset(self, start: int, stop: int) -> np.ndarray:
+        # Local update i is the base stream's update rows[start + i].
+        return self._rows[start:stop] - np.arange(stop - start)
 
     def _decode_batch(self, start: int, stop: int) -> EdgeBatch:
         rows = self._rows[start:stop]

@@ -20,14 +20,13 @@ for Theorem 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import StreamError
 from repro.graph.graph import Edge, Graph, normalize_edge
-from repro.streams.batch import EdgeBatch
+from repro.streams.batch import EdgeBatch, sorted_member_mask
 from repro.streams.cache import BatchCachePolicy, resolve_cache_policy
 from repro.utils.rng import RandomSource, ensure_rng
 
@@ -54,14 +53,72 @@ def check_batch_size(batch_size) -> int:
     return int(batch_size)
 
 
+class LiveEdges:
+    """The edges present in a stream so far, as sorted integer keys.
+
+    An edge ``(lo, hi)`` is keyed ``lo * n + hi``: an ``int64`` (8
+    bytes per live edge) while ``n * n`` fits one, an exact Python int
+    beyond.  The live set is the symmetric difference of a few sorted
+    runs of keys: a checked chunk appends the keys whose presence it
+    flips, and runs merge like a binary counter, so m updates cost
+    O(m log m) in all rather than O(m) per chunk.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._n = int(n)
+        self._dtype = np.int64 if self._n * self._n < 2 ** 63 else object
+        self._runs: List[np.ndarray] = []
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def keys(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The keys of the normalized edges ``(lo[i], hi[i])``."""
+        return lo.astype(self._dtype) * self._n + hi
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each of the distinct *keys* is live."""
+        found = np.zeros(len(keys), dtype=bool)
+        for run in self._runs:
+            found ^= sorted_member_mask(run, keys)
+        return found
+
+    def toggle(self, keys: np.ndarray, change: int) -> None:
+        """Flip the presence of the distinct *keys*; the live count moves by *change*."""
+        self._size += change
+        if len(keys):
+            self._runs.append(np.sort(keys))
+        while len(self._runs) > 1 and len(self._runs[-2]) <= 2 * len(self._runs[-1]):
+            self._merge_last()
+
+    def edges(self) -> List[Edge]:
+        """The live edges as sorted ``(lo, hi)`` pairs."""
+        while len(self._runs) > 1:
+            self._merge_last()
+        keys = self._runs[0] if self._runs else np.empty(0, dtype=self._dtype)
+        lo, hi = keys // self._n, keys % self._n
+        return list(zip(lo.tolist(), hi.tolist()))
+
+    def _merge_last(self) -> None:
+        """Replace the last two runs by their symmetric difference."""
+        # Popping inside the call frees both runs once concatenated.
+        keys = np.concatenate((self._runs.pop(-2), self._runs.pop()))
+        keys.sort(kind="stable")  # timsort: one linear merge of two sorted runs
+        twice = np.flatnonzero(keys[1:] == keys[:-1])
+        if len(twice):
+            keys = np.delete(keys, np.concatenate((twice, twice + 1)))
+        self._runs.append(keys)
+
+
 def check_updates(
     n: int,
     u,
     v,
     delta,
     allow_deletions: bool,
-    live: Optional[Set[Edge]] = None,
-    offset: int = 0,
+    live: Optional[LiveEdges] = None,
+    offset=0,
 ) -> None:
     """Check ``(u, v, delta)`` columns against the simple-graph stream model.
 
@@ -69,12 +126,13 @@ def check_updates(
     in ``[0, n)``, a delta of +1 or -1 (and +1 only unless
     *allow_deletions*), and leave its edge's multiplicity in {0, 1}.
     The first update that breaks a rule raises :class:`StreamError`
-    naming its global index ``offset + i``.
+    naming its global index ``offset + i``; *offset* may also be an
+    array with one entry per update, as for a shard's scattered rows.
 
-    *live* is the set of normalized edges present before the first
-    update.  Multiplicities start from it, and once every update has
-    passed it is updated in place to the edges present after the last
-    one — a rejected chunk leaves it untouched.  ``None`` skips the
+    *live* holds the edges present before the first update.
+    Multiplicities start from it, and once every update has passed it
+    is updated in place to the edges present after the last one — a
+    rejected chunk leaves it untouched.  ``None`` skips the
     multiplicity rule: the stateless checks a chunked writer can make
     without the stream's history.
 
@@ -94,12 +152,14 @@ def check_updates(
         bad |= delta < 0
     first = int(np.argmax(bad)) if bad.any() else length
     if live is not None:
-        order = np.lexsort((hi, lo))
-        lo, hi, steps = lo[order], hi[order], np.asarray(delta, dtype=np.int64)[order]
-        starts = np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
+        # A bad update's key may collide with another edge's; that only
+        # shifts the counts after it, and it is reported first anyway.
+        keys = live.keys(lo, hi)
+        order = np.argsort(keys, kind="stable")
+        keys, steps = keys[order], np.asarray(delta, dtype=np.int64)[order]
+        starts = np.concatenate(([True], keys[1:] != keys[:-1]))
         heads = np.flatnonzero(starts)
-        edges = list(zip(lo[heads].tolist(), hi[heads].tolist()))
-        before = np.fromiter(map(live.__contains__, edges), np.int64, len(edges))
+        before = live.contains(keys[heads]).astype(np.int64)
         totals = np.cumsum(steps)
         offsets = before - totals[heads] + steps[heads]
         counts = totals + offsets[np.cumsum(starts) - 1]
@@ -108,7 +168,7 @@ def check_updates(
             first = min(first, int(order[over].min()))
     if first < length:
         u_i, v_i, d_i = int(u[first]), int(v[first]), int(delta[first])
-        where = f"update #{offset + first}"
+        where = f"update #{int((np.arange(length) + offset)[first])}"
         if u_i == v_i:
             raise StreamError(f"{where} is a self-loop ({u_i}, {v_i})")
         if not (0 <= u_i < n and 0 <= v_i < n):
@@ -121,9 +181,8 @@ def check_updates(
         problem = "deletes absent edge" if count < 0 else "duplicates edge"
         raise StreamError(f"{where} {problem} {normalize_edge(u_i, v_i)}")
     if live is not None:
-        present = (before + np.add.reduceat(steps, heads)).tolist()
-        live.difference_update(compress(edges, [not alive for alive in present]))
-        live.update(compress(edges, present))
+        flipped = (before + np.add.reduceat(steps, heads)) != before
+        live.toggle(keys[heads][flipped], int(steps.sum()))
 
 
 @dataclass(frozen=True)
@@ -161,7 +220,18 @@ class CachedBatchStream:
     miss and retains at the policy's discretion — keeping the loop in
     one place is what guarantees the in-memory, disk and shard streams
     can never drift apart on cache semantics.
+
+    A stream whose updates were not checked when it was built (a disk
+    file trusts its header) checks them during its first complete
+    ``batches()`` or ``updates()`` pass: :func:`check_updates` runs over
+    every batch against the edges live so far, and at the end of the
+    pass the live edge count must equal ``net_edge_count``.  Either
+    failure raises :class:`StreamError`, so no estimator finishes on a
+    multigraph.
     """
+
+    #: Whether the updates are known to satisfy the stream model.
+    _checked = False
 
     def __init__(
         self, n: int, length: int, net_edge_count: int, allow_deletions: bool, cache
@@ -232,7 +302,7 @@ class CachedBatchStream:
         self._passes += 1
 
         def generate() -> Iterator[Update]:
-            for batch in self._windows():
+            for batch in self._checked_pass(self._windows(), DEFAULT_CHUNK_SIZE):
                 for u, v, delta in zip(
                     batch.u.tolist(), batch.v.tolist(), batch.delta.tolist()
                 ):
@@ -254,7 +324,7 @@ class CachedBatchStream:
         """
         batch_size = check_batch_size(batch_size)
         self._passes += 1
-        return self._iter_batches(batch_size)
+        return self._checked_pass(self._iter_batches(batch_size), batch_size)
 
     def _iter_batches(self, batch_size: int) -> Iterator["EdgeBatch"]:
         cache = self._cache
@@ -266,6 +336,35 @@ class CachedBatchStream:
                 batch = self._decode_batch(start, min(start + batch_size, length))
                 cache.put(key, batch)
             yield batch
+
+    def _checked_pass(self, batches, batch_size: int) -> Iterator["EdgeBatch"]:
+        """Yield one pass of *batches*, cut every *batch_size* updates.
+
+        Until a pass has completed, checks each batch against the
+        stream model and, at the end, the live edge count against
+        ``net_edge_count`` (see the class docstring).
+        """
+        if self._checked:
+            yield from batches
+            return
+        live = LiveEdges(self._n)
+        for index, batch in enumerate(batches):
+            start = index * batch_size
+            check_updates(
+                self._n, batch.u, batch.v, batch.delta, self._allow_deletions,
+                live=live, offset=self._offset(start, start + len(batch)),
+            )
+            yield batch
+        if len(live) != self._net:
+            raise StreamError(
+                f"{self!r}: the stream declares {self._net} net edges but "
+                f"its updates leave {len(live)}"
+            )
+        self._checked = True
+
+    def _offset(self, start: int, stop: int):
+        """The :func:`check_updates` offset of updates ``[start, stop)``."""
+        return start
 
     def _windows(self) -> Iterator["EdgeBatch"]:
         """The whole stream in fresh decoded windows (no pass, no cache)."""
@@ -284,13 +383,13 @@ class CachedBatchStream:
         and does not count a pass.  O(m) memory: meant for small
         streams and tests — the estimators never need it.
         """
-        live: Set[Edge] = set()
+        live = LiveEdges(self._n)
         for index, batch in enumerate(self._windows()):
             check_updates(
                 self._n, batch.u, batch.v, batch.delta, self._allow_deletions,
                 live=live, offset=index * DEFAULT_CHUNK_SIZE,
             )
-        return Graph(self._n, sorted(live))
+        return Graph(self._n, live.edges())
 
 
 class ColumnEdgeStream(CachedBatchStream):
@@ -317,6 +416,9 @@ class ColumnEdgeStream(CachedBatchStream):
     work against resident memory.
     """
 
+    #: Validated at construction, or vouched for by the caller.
+    _checked = True
+
     def __init__(
         self,
         n: int,
@@ -338,7 +440,7 @@ class ColumnEdgeStream(CachedBatchStream):
         if allow_deletions is None:
             allow_deletions = bool((self._delta < 0).any())
         if validate:
-            check_updates(n, self._u, self._v, self._delta, allow_deletions, live=set())
+            check_updates(n, self._u, self._v, self._delta, allow_deletions, live=LiveEdges(n))
             net_edge_count = None
         elif not len(self._u) == len(self._v) == len(self._delta):
             raise StreamError("u/v/delta column lengths differ")

@@ -36,10 +36,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.errors import ReproError, StreamError, WorldsError
 from repro.graph.generators import MAX_KRONECKER_POWER, RMAT_INITIATOR
 from repro.patterns.pattern import Pattern
+from repro.streaming.counters import FGP_COUNTERS, is_star_decomposable, is_turnstile
 from repro.streams.cache import resolve_cache_policy
 
-#: Estimator identifiers, matching the fused entry points and the CLI.
-ESTIMATORS: Tuple[str, ...] = ("insertion", "turnstile", "two-pass")
+#: Estimator identifiers: the FGP counter kinds.
+ESTIMATORS: Tuple[str, ...] = tuple(FGP_COUNTERS)
 
 #: Scenario kinds, matching the ``streams.datasets`` generators.
 SCENARIO_KINDS: Tuple[str, ...] = (
@@ -375,18 +376,16 @@ class WorldGrid:
         return parse_pattern(name)
 
     def _build_cells(self) -> List[GridCell]:
-        from repro.streaming.two_pass import is_star_decomposable
-
         cells: List[GridCell] = []
         for family in self.families:
             for scenario in self.scenarios:
                 for estimator in self.estimators:
                     # Deletions demand the turnstile counter; the other
                     # estimators read insertion-only streams.
-                    if scenario.needs_deletions and estimator != "turnstile":
+                    if scenario.needs_deletions and not is_turnstile(estimator):
                         continue
                     for pattern in self.patterns:
-                        if estimator == "two-pass" and not is_star_decomposable(
+                        if FGP_COUNTERS[estimator].star_only and not is_star_decomposable(
                             self.resolve_pattern(pattern)
                         ):
                             continue

@@ -255,22 +255,14 @@ def run_cell(
     truth: int,
 ) -> Dict:
     """Run one cell against its materialized ``.reb`` stream."""
-    from repro.engine import (
-        count_subgraphs_insertion_only_fused,
-        count_subgraphs_turnstile_fused,
-        count_subgraphs_two_pass_fused,
-    )
+    from repro.engine.fused import count_fgp_fused
     from repro.streams.datasets import DiskEdgeStream
 
-    counter = {
-        "insertion": count_subgraphs_insertion_only_fused,
-        "turnstile": count_subgraphs_turnstile_fused,
-        "two-pass": count_subgraphs_two_pass_fused,
-    }[cell.estimator]
     stream = DiskEdgeStream(stream_path, cache=grid.cache)
     pattern = grid.resolve_pattern(cell.pattern)
     started = time.perf_counter()
-    result = counter(
+    result = count_fgp_fused(
+        cell.estimator,
         stream,
         pattern,
         copies=grid.copies,

@@ -51,7 +51,6 @@ from repro.oracle.base import (
 )
 from repro.sketch.l0 import L0Sampler
 from repro.sketch.reservoir import SkipAheadReservoirBank
-from repro.streaming.three_pass import fgp_success_estimate
 from repro.streams.batch import edge_from_id, edge_id
 from repro.transform.driver import run_round_adaptive
 from repro.utils.rng import derive_rng, ensure_rng
@@ -259,9 +258,9 @@ def reference_fgp_run(stream, pattern, trials: int, rng, sampler_repetitions=Non
         for i in range(trials)
     ]
     run = run_round_adaptive(generators, oracle)
-    _, estimate = fgp_success_estimate(
-        run.outputs, trials, stream.net_edge_count, pattern.rho()
-    )
+    successes = sum(1 for output in run.outputs if output is not None)
+    m = stream.net_edge_count
+    estimate = (successes / trials) * (2.0 * m) ** pattern.rho() if m else 0.0
     return estimate, oracle.passes
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.streaming.adaptive as adaptive
 from repro.errors import EstimationError
 from repro.exact.subgraphs import count_subgraphs
 from repro.exact.triangles import count_triangles
@@ -78,3 +79,27 @@ class TestCountUnknown:
             insertion_stream(graph, rng=17), zoo.path(3), epsilon=0.3, rng=18
         )
         assert result.estimate == pytest.approx(truth, rel=0.4)
+
+    def test_cap_bounds_every_probe_run(self, monkeypatch):
+        # The cap is applied before a probe runs: no counter run, not
+        # even a discarded one, exceeds it.  The estimate is the one
+        # the search returned when capped probes ran twice.
+        budgets = []
+        counter = adaptive.count_subgraphs_insertion_only
+
+        def spy(*args, **kwargs):
+            result = counter(*args, **kwargs)
+            budgets.append(result.trials)
+            return result
+
+        monkeypatch.setattr(adaptive, "count_subgraphs_insertion_only", spy)
+        graph = gen.gnp(30, 0.25, rng=13)
+        result = count_subgraphs_unknown(
+            insertion_stream(graph, rng=14), zoo.cycle(4), epsilon=0.3, rng=15,
+            max_trials_per_probe=300,
+        )
+        assert budgets == [45, 178, 300, 300, 300]
+        assert result.estimate == 365.04
+        assert result.trials == sum(budgets)
+        assert result.passes == 15
+        assert result.details["capped"] == 1.0

@@ -226,17 +226,18 @@ class TestAtScale:
         n = 5_000_000
         budget = 32 << 20  # 32 MiB ≪ 10M × 24 B = 240 MB of columns
         path = tmp_path / "ten_million.reb"
-        rng = np.random.default_rng(42)
+        # Distinct pair ids (an affine bijection of [0, span), the
+        # multiplier coprime to span) decoded to u < v <= u + 1000: a
+        # scattered simple graph, which the stream's first-pass model
+        # check requires.
+        span = (n - 1001) * 1000
         with BinaryUpdateWriter(path, n) as writer:
             chunk = 1 << 20
             for start in range(0, m, chunk):
-                size = min(chunk, m - start)
-                cu = rng.integers(0, n - 1, size=size)
-                cv = cu + 1 + rng.integers(0, 1000, size=size)
-                np.minimum(cv, n - 1, out=cv)
-                bad = cu == cv
-                cu[bad] = cv[bad] - 1
-                writer.append(cu, cv)
+                index = np.arange(start, min(start + chunk, m), dtype=np.int64)
+                pair = (2654435761 * index + 12345) % span
+                cu = pair // 1000
+                writer.append(cu, cu + 1 + pair % 1000)
         stream = DiskEdgeStream(path, cache=f"lru:{budget}")
         result = count_subgraphs_insertion_only_fused(
             stream,

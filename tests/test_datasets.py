@@ -17,6 +17,7 @@ from repro.graph import generators
 from repro.sketch.hashing import PolynomialHash
 from repro.streams.batch import EDGE_ID_MAX_N, EdgeBatch, VertexMembership, edge_id
 from repro.streams.datasets import (
+    BINARY_MAGIC,
     BinaryUpdateWriter,
     DiskEdgeStream,
     compact_ids,
@@ -28,6 +29,7 @@ from repro.streams.datasets import (
     read_snap_chunks,
     save_npz_updates,
     sliding_window_updates,
+    stream_shard_views,
     write_binary_updates,
 )
 from repro.streams.stream import EdgeStream, Update, insertion_stream
@@ -441,3 +443,65 @@ class TestBigVertexIds:
             for batch in stream.batches(batch_size):
                 state.ingest_batch(batch)
             assert state.finish() == baseline
+
+
+class TestDiskStreamModelCheck:
+    """A disk stream trusts its header until its first complete pass.
+
+    The writer can only check the stateless rules per chunk, so a
+    ``.reb`` may repeat an edge or delete an absent one.  Opening it
+    stays cheap; the first ``batches()`` pass checks the updates
+    against the stream model and the header's net edge count.
+    """
+
+    def test_multigraph_file_is_refused_by_a_count(self, tmp_path):
+        from repro import patterns
+        from repro.engine import count_subgraphs_insertion_only_fused
+
+        path = write_binary_updates(tmp_path / "multi.reb", 4, [0, 1, 0], [1, 2, 1])
+        stream = DiskEdgeStream(path)
+        assert stream.net_edge_count == 3
+        with pytest.raises(StreamError, match=r"update #2 duplicates edge \(0, 1\)"):
+            count_subgraphs_insertion_only_fused(
+                stream, patterns.triangle(), copies=2, trials=4, mode="mirror"
+            )
+        with pytest.raises(StreamError, match="update #2 duplicates"):
+            list(DiskEdgeStream(path).updates())
+
+    def test_header_net_edge_count_is_checked(self, tmp_path):
+        path = write_binary_updates(tmp_path / "net.reb", 5, [0, 1, 2], [1, 2, 3])
+        with open(path, "r+b") as handle:
+            handle.seek(len(BINARY_MAGIC) + 16)
+            handle.write((4).to_bytes(8, "little"))
+        stream = DiskEdgeStream(path)
+        with pytest.raises(StreamError, match="declares 4 net edges but its updates leave 3"):
+            list(stream.batches(2))
+
+    def test_shard_views_name_the_global_index(self, tmp_path):
+        graph = generators.gnp(24, 0.3, rng=5)
+        edges = list(graph.edges())
+        u = np.array([a for a, _ in edges] + [edges[0][0]], dtype=np.int64)
+        v = np.array([b for _, b in edges] + [edges[0][1]], dtype=np.int64)
+        path = write_binary_updates(tmp_path / "views.reb", 24, u, v)
+        failures = []
+        for view in stream_shard_views(DiskEdgeStream(path), 3):
+            try:
+                for _ in view.batches(4):
+                    pass
+            except StreamError as error:
+                failures.append(str(error))
+        assert failures == [f"update #{len(edges)} duplicates edge {edges[0]}"]
+
+    def test_only_the_first_complete_pass_checks(self, tmp_path, monkeypatch):
+        import repro.streams.stream as stream_module
+
+        path = write_binary_updates(tmp_path / "ok.reb", 5, [0, 1, 2], [1, 2, 3])
+        stream = DiskEdgeStream(path)
+        first = list(stream.batches(2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checked stream was checked again")
+
+        monkeypatch.setattr(stream_module, "check_updates", refuse)
+        again = list(stream.batches(2))
+        assert [b.u.tolist() for b in again] == [b.u.tolist() for b in first]

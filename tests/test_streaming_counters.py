@@ -103,6 +103,35 @@ class TestTrialResolution:
         )
         assert tight == pytest.approx(4 * loose, rel=0.05)
 
+    def test_unknown_counter_kind_is_a_typed_error(self):
+        from repro.streaming.counters import count_fgp
+
+        stream = insertion_stream(gen.karate_club(), rng=1)
+        with pytest.raises(EstimationError, match="unknown FGP counter kind"):
+            count_fgp("three-pass", stream, pattern_zoo.triangle(), trials=10)
+
+    def test_group_copies_report_their_share_of_queries_and_space(self):
+        from repro.streaming.counters import copy_seeds, fgp_counter_program
+        from repro.transform.driver import run_round_adaptive
+
+        stream = insertion_stream(gen.karate_club(), rng=1)
+        triangle = pattern_zoo.triangle()
+        oracle_seed, trial_seeds = copy_seeds(7, 4 * 15)
+        groups = [trial_seeds[i * 15 : (i + 1) * 15] for i in range(4)]
+        oracle, generators, finalize = fgp_counter_program(
+            "insertion", stream, triangle, groups, oracle_seed, copy_indices=[4, 5, 6, 7]
+        )
+        run = run_round_adaptive(generators, oracle)
+        results = finalize(run)
+        assert [r.details["fused_copy"] for r in results] == [4.0, 5.0, 6.0, 7.0]
+        assert [r.details["queries"] for r in results] == [-(-run.total_queries // 4)] * 4
+        assert [r.space_words for r in results] == [-(-oracle.space.peak_words // 4)] * 4
+        # A group of one is the one-shot counter, which reports its totals.
+        one_shot = count_subgraphs_insertion_only(stream, triangle, trials=60, rng=7)
+        alone = fgp_counter_program("insertion", stream, triangle, [trial_seeds], oracle_seed)
+        stream.reset_pass_count()
+        assert alone[2](run_round_adaptive(alone[1], alone[0])) == [one_shot]
+
     def test_invalid_trials(self):
         stream = insertion_stream(gen.karate_club(), rng=1)
         with pytest.raises(EstimationError):

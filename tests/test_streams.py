@@ -20,7 +20,9 @@ from repro.streams.space import SpaceMeter
 from repro.streams.stream import (
     ColumnEdgeStream,
     EdgeStream,
+    LiveEdges,
     Update,
+    check_updates,
     insertion_stream,
     turnstile_stream,
 )
@@ -265,6 +267,45 @@ class TestCheckUpdatesAgainstReference:
         else:
             with pytest.raises(StreamError, match=f"update #{bad} "):
                 stream.final_graph()
+
+
+class TestLiveEdges:
+    """``LiveEdges`` across many checked chunks equals a Python set of
+    the live edges, with int64 keys and, once ``n * n`` overflows int64,
+    exact Python-int keys."""
+
+    @pytest.mark.parametrize("n", [30, 2 ** 33])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_chunks_match_a_set(self, n, seed):
+        rng = random.Random(seed)
+        vertices = rng.sample(range(n), 12)
+        live, present, length = LiveEdges(n), set(), 0
+        for _ in range(300):
+            rows = []
+            for _ in range(rng.randrange(1, 12)):
+                a, b = rng.sample(vertices, 2)
+                edge = (min(a, b), max(a, b))
+                delta = -1 if edge in present else 1
+                present ^= {edge}
+                rows.append((a, b, delta))
+            u, v, d = (np.array(column, dtype=np.int64) for column in zip(*rows))
+            check_updates(n, u, v, d, True, live=live, offset=length)
+            length += len(rows)
+            assert len(live) == len(present)
+        assert live.edges() == sorted(present)
+        some = sorted(present)[0]
+        absent = next(
+            (a, b) for a in vertices for b in vertices
+            if a < b and (a, b) not in present
+        )
+        for edge, delta, problem in ((some, 1, "duplicates"), (absent, -1, "deletes absent")):
+            column = lambda i: np.array([edge[i]], dtype=np.int64)
+            with pytest.raises(StreamError, match=f"update #{length} {problem} edge"):
+                check_updates(
+                    n, column(0), column(1), np.array([delta]), True,
+                    live=live, offset=length,
+                )
+        assert live.edges() == sorted(present)
 
 
 class TestSpaceMeter:
