@@ -427,8 +427,8 @@ class _FullyDegraded(Exception):
 
 
 def _live(args: argparse.Namespace) -> int:
-    from repro.engine import EstimatorSpec, LiveEngine, median_estimate
-    from repro.engine.estimators import fgp_estimator
+    from repro.engine import LiveEngine, median_estimate
+    from repro.engine.estimators import copy_specs, fgp_estimator
     from repro.errors import EngineError, EstimationError
 
     if args.checkpoint_every and not args.checkpoint:
@@ -454,16 +454,14 @@ def _live(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    names = [f"copy-{index}" for index in range(args.copies)]
     resumed = False
     if args.resume and args.checkpoint and os.path.exists(args.checkpoint):
         engine = LiveEngine.restore(args.checkpoint)
         resumed = True
         # The checkpoint's own specs win over --copies: resuming must
         # reproduce the interrupted run, not a differently sized one.
-        names = engine.estimator_names
         print(f"resumed from {args.checkpoint}: elements={engine.elements} "
-              f"m={engine.net_edge_count} copies={len(names)}")
+              f"m={engine.net_edge_count} copies={len(engine.estimator_names)}")
         info = engine.restore_info
         if info and info.get("deltas_applied"):
             print(f"resume applied {info['deltas_applied']} delta "
@@ -479,13 +477,9 @@ def _live(args: argparse.Namespace) -> int:
             allow_deletions=deletions or is_turnstile(args.algorithm),
             batch_size=args.batch_size or 4096,
         )
-        for index, name in enumerate(names):
-            engine.register_spec(EstimatorSpec(
-                name=name,
-                factory=fgp_estimator,
-                kwargs=dict(kind=args.algorithm, pattern=pattern, trials=args.trials,
-                            rng=args.seed + 1 + index, name=name),
-            ))
+        options = dict(kind=args.algorithm, pattern=pattern, trials=args.trials)
+        for spec in copy_specs(fgp_estimator, options, args.copies, args.seed):
+            engine.register_spec(spec)
 
     def report(label: str) -> float:
         # Ask for every surviving estimator: naming a lost copy raises,

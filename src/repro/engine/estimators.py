@@ -34,12 +34,13 @@ is deliberately *not* picklable — reconstruct from seeds, don't ship.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.baselines.doulion import DoulionEstimator
 from repro.baselines.exact_stream import ExactStreamEstimator
 from repro.baselines.triest import TriestEstimator
 from repro.engine.core import DecodedBatch
+from repro.engine.parallel import EstimatorSpec
 from repro.errors import (
     CheckpointError,
     EngineError,
@@ -346,6 +347,24 @@ def fgp_estimator(
     return RoundAdaptiveEstimator(
         name or f"fgp-{kind}", generators, oracle, lambda run: finalize(run)[0]
     )
+
+
+def copy_specs(
+    factory: Callable[..., Any], options: dict, copies: int, seed: int
+) -> List[EstimatorSpec]:
+    """The specs of a median-of-*copies* count: ``copy-{i}`` with ``rng = seed + 1 + i``.
+
+    Each spec builds ``factory(stream, **options)`` under its own name
+    and seed — the copy layout ``repro live`` and ``repro serve`` share.
+    """
+    return [
+        EstimatorSpec(
+            name=f"copy-{index}",
+            factory=factory,
+            kwargs=dict(options, rng=seed + 1 + index, name=f"copy-{index}"),
+        )
+        for index in range(copies)
+    ]
 
 
 def fgp_group_estimator(

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.estimators import fgp_estimator
+from repro.engine.estimators import copy_specs, fgp_estimator
 from repro.engine.live import (
     DEFAULT_MAX_DELTAS,
     LiveEngine,
@@ -194,7 +194,8 @@ class StreamConfig:
     In-process callers pass explicit :class:`~repro.engine.parallel.
     EstimatorSpec` recipes; wire callers send the declarative form
     (``estimator``/``copies``/``pattern``/``seed``/...) which
-    :meth:`from_wire` expands to the same specs the CLI builds.
+    :meth:`from_wire` expands through
+    :func:`~repro.engine.estimators.copy_specs`, as ``repro live`` does.
     """
 
     n: int
@@ -262,14 +263,7 @@ class StreamConfig:
                 pattern=parse_pattern(doc.get("pattern", "triangle")),
                 trials=doc.get("trials"),
             )
-        specs = [
-            EstimatorSpec(
-                name=f"copy-{index}",
-                factory=factory,
-                kwargs=dict(options, rng=seed + 1 + index, name=f"copy-{index}"),
-            )
-            for index in range(copies)
-        ]
+        specs = copy_specs(factory, options, copies, seed)
         allow_deletions = bool(doc.get("allow_deletions", is_turnstile(kind)))
         policy = doc.get("checkpoint")
         if isinstance(policy, dict):

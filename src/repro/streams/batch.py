@@ -58,12 +58,32 @@ def edge_id(u: int, v: int, n: int) -> int:
     """Dense id of the (sorted) pair {u, v} in ``[0, n(n-1)/2)``.
 
     Pairs ``(a, b)`` with ``a < b`` ordered lexicographically — the
-    single home of the encoding; :meth:`EdgeBatch.edge_ids` is its
-    vectorized form and the turnstile oracle's ℓ0 edge universe and the
+    single home of the encoding; :func:`edge_ids` is its vectorized
+    form and the turnstile oracle's ℓ0 edge universe and the
     pass states' adjacency lookups all key off it.
     """
     a, b = (u, v) if u < v else (v, u)
     return a * (2 * n - a - 1) // 2 + (b - a - 1)
+
+
+def edge_ids(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """:func:`edge_id` over normalized columns ``lo < hi``, as ``int64``.
+
+    Computed in ``uint64`` so the intermediate product stays exact up to
+    ``n = 2^32`` (an ``int64`` product silently wraps past
+    ``n ≈ 3.0e9``); the ids themselves fit ``int64`` for every such
+    ``n``.  Larger universes have no exact dense encoding and raise —
+    compact the vertex ids first.
+    """
+    if n > EDGE_ID_MAX_N:
+        raise StreamError(
+            f"dense edge ids overflow for n={n} (> 2^32); "
+            "compact/relabel vertex ids first (see repro.streams.datasets)"
+        )
+    a = lo.astype(np.uint64)
+    b = hi.astype(np.uint64)
+    one = np.uint64(1)
+    return (a * (np.uint64(2 * n) - a - one) // np.uint64(2) + (b - a - one)).astype(np.int64)
 
 
 def edge_from_id(identifier: int, n: int) -> Tuple[int, int]:
@@ -105,28 +125,29 @@ class VertexMembership:
     state would dwarf the algorithm's own space, so membership falls
     back to binary search against the sorted watched set — same mask,
     bounded memory.  :meth:`slots` gives each member a compact index
-    so accumulators are sized by the watched set, never by ``n``.
+    so accumulators are sized by the watched set, never by ``n``.  The
+    dense table is built by the first :meth:`mask`, so a filter that is
+    never asked (a pass that never ingests) never allocates it.
     """
 
-    __slots__ = ("vertices", "_table")
+    __slots__ = ("vertices", "_n", "_table")
 
     def __init__(self, vertices, n: int) -> None:
-        self.vertices = np.asarray(sorted(vertices), dtype=np.int64)
-        if n <= DENSE_MEMBERSHIP_MAX_N:
-            table = np.zeros(n, dtype=bool)
-            table[self.vertices] = True
-            self._table = table
-        else:
-            self._table = None
+        self.vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        self._n = n
+        self._table = None
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def mask(self, values: np.ndarray) -> np.ndarray:
         """Boolean membership of *values* in the watched set."""
-        if self._table is not None:
-            return self._table[values]
-        return sorted_member_mask(self.vertices, values)
+        if self._n > DENSE_MEMBERSHIP_MAX_N:
+            return sorted_member_mask(self.vertices, values)
+        if self._table is None:
+            self._table = np.zeros(self._n, dtype=bool)
+            self._table[self.vertices] = True
+        return self._table[values]
 
     def slots(self, members: np.ndarray) -> np.ndarray:
         """Compact ``[0, len)`` indices of *members* (all must belong)."""
@@ -270,28 +291,10 @@ class EdgeBatch(Sequence):
         return self.u.nbytes + self.v.nbytes + self.delta.nbytes
 
     def edge_ids(self, n: int) -> np.ndarray:
-        """Dense triangular edge ids in ``[0, n(n-1)/2)``, cached per *n*.
-
-        The vectorized form of :func:`edge_id`:
-        ``a(2n - a - 1)/2 + (b - a - 1)`` for the normalized pair
-        ``a < b``, computed in ``uint64`` so the intermediate product
-        stays exact up to ``n = 2^32`` (an ``int64`` product silently
-        wraps past ``n ≈ 3.0e9``); the ids themselves fit ``int64``
-        for every such ``n``.  Larger universes have no exact dense
-        encoding and raise — compact the vertex ids first.
-        """
+        """Dense triangular edge ids in ``[0, n(n-1)/2)``, cached per *n*
+        (see :func:`edge_ids`)."""
         if self._edge_ids is None or self._edge_ids_n != n:
-            if n > EDGE_ID_MAX_N:
-                raise StreamError(
-                    f"dense edge ids overflow for n={n} (> 2^32); "
-                    "compact/relabel vertex ids first (see repro.streams.datasets)"
-                )
-            a = self.lo.astype(np.uint64)
-            b = self.hi.astype(np.uint64)
-            two_n = np.uint64(2 * n)
-            one = np.uint64(1)
-            ids = a * (two_n - a - one) // np.uint64(2) + (b - a - one)
-            self._edge_ids = ids.astype(np.int64)
+            self._edge_ids = edge_ids(self.lo, self.hi, n)
             self._edge_ids_n = n
         return self._edge_ids
 
