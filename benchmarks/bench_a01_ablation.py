@@ -4,7 +4,8 @@ from conftest import emit_table
 
 from repro.experiments import a01_wedge_ablation
 from repro.experiments.a01_wedge_ablation import pendant_clique_graph
-from repro.fgp.rounds import WEDGE_BOTH, subgraph_sampler_rounds
+from repro.fgp.bank import FgpTrialBank
+from repro.fgp.rounds import WEDGE_BOTH
 from repro.oracle.direct import DirectAugmentedOracle
 from repro.patterns import pattern as pattern_zoo
 from repro.transform.driver import run_round_adaptive
@@ -16,11 +17,8 @@ def test_a01_high_branch_sampler(benchmark, capsys):
 
     def run_batch():
         oracle = DirectAugmentedOracle(graph, rng=1)
-        generators = [
-            subgraph_sampler_rounds(pattern, rng=i, wedge_branches=WEDGE_BOTH)
-            for i in range(200)
-        ]
-        return run_round_adaptive(generators, oracle)
+        bank = FgpTrialBank(pattern, range(200), wedge_branches=WEDGE_BOTH)
+        return run_round_adaptive(bank, oracle)
 
     result = benchmark(run_batch)
     assert result.rounds == 3

@@ -2,13 +2,14 @@
 
 :class:`RoundAdaptiveEstimator` spreads the lockstep loop of
 :func:`repro.transform.driver.run_round_adaptive` across engine passes:
-at ``begin_pass`` it merges the live generators' round-ℓ batches and
+at ``begin_pass`` it merges the live instances' round-ℓ batches and
 opens an oracle pass-state (``oracle.begin_batch``), during the pass it
 forwards every decoded update chunk, and at ``end_pass`` it collects
-the answers and dispatches them back to the generators.  Merging and
-dispatching go through the same
-:class:`~repro.transform.driver.LockstepState` the sequential driver
-uses, so a fused run consumes randomness identically and returns
+the answers and dispatches them back.  Merging and dispatching go
+through the same lockstep program the sequential driver runs — an FGP
+estimator's :class:`~repro.fgp.bank.FgpTrialBank`, or a
+:class:`~repro.transform.driver.LockstepState` over generators — so a
+fused run consumes randomness identically and returns
 **bit-identical** estimates (asserted in
 ``tests/test_engine_equivalence.py``).
 
@@ -28,8 +29,8 @@ Because the factories are module-level callables taking ``(stream,
 process-backend :class:`~repro.engine.parallel.EstimatorSpec`: a
 worker rebuilds the estimator from ``(pattern, trials, rng)`` against
 a :class:`~repro.engine.parallel.StreamHandle`.  A built
-:class:`RoundAdaptiveEstimator` itself holds live generator frames and
-is deliberately *not* picklable — reconstruct from seeds, don't ship.
+:class:`RoundAdaptiveEstimator` itself may hold live generator frames
+and is deliberately *not* shipped — reconstruct from seeds.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.streaming.ers.counter import clique_counter_program
 from repro.streaming.ers.params import ErsParameters
 from repro.streaming.counters import copy_seeds, fgp_counter_program, resolve_trials
 from repro.streams.stream import EdgeStream
-from repro.transform.driver import LockstepState, RoundRunResult
+from repro.transform.driver import RoundRunResult, lockstep
 from repro.transform.insertion import InsertionStreamOracle
 from repro.utils.checkpoint import state_field
 from repro.utils.rng import RandomSource, derive_rng, ensure_rng
@@ -74,20 +75,20 @@ __all__ = [
 
 
 class RoundAdaptiveEstimator:
-    """A set of round-adaptive generators driven by engine passes.
+    """A lockstep program of round-adaptive instances driven by engine passes.
 
-    Merge order and answer routing come from the same
-    :class:`~repro.transform.driver.LockstepState` that powers
-    :func:`~repro.transform.driver.run_round_adaptive`, which is what
-    makes fused runs bit-identical to sequential ones.
+    Merge order and answer routing come from the same lockstep program
+    that :func:`~repro.transform.driver.run_round_adaptive` would run,
+    which is what makes fused runs bit-identical to sequential ones.
 
     Parameters
     ----------
     name:
         Registration key in the engine.
-    generators:
-        Round-adaptive algorithm instances (see
-        :mod:`repro.transform.driver`).
+    program:
+        A lockstep program (an :class:`~repro.fgp.bank.FgpTrialBank`)
+        or a list of round-adaptive generators (see
+        :func:`repro.transform.driver.lockstep`).
     oracle:
         A stream oracle exposing ``begin_batch(batch)`` returning a
         pass-state with ``ingest_batch(decoded)`` / ``finish()``.
@@ -96,19 +97,19 @@ class RoundAdaptiveEstimator:
         result (typically an :class:`~repro.estimate.result.EstimateResult`).
     """
 
-    def __init__(self, name: str, generators: Sequence, oracle, finalize: Callable) -> None:
+    def __init__(self, name: str, program, oracle, finalize: Callable) -> None:
         self.name = name
         self._oracle = oracle
         self._finalize = finalize
-        self._lockstep = LockstepState(generators)
+        self._lockstep = lockstep(program)
         self._rounds = 0
         self._accounting = QueryAccounting()
         self._state = None
         self._result: Any = None
-        # Per-round answer record: what checkpointing replays.  Live
-        # generator frames cannot be serialized, but they are a pure
+        # Per-round answer record: what checkpointing replays.  The
+        # lockstep program (generator frames or a trial bank) is a pure
         # function of (construction seeds, dispatched answers), so the
-        # answer history IS the portable form of their state.
+        # answer history IS the portable form of its state.
         self._history: list = []
 
     @property
@@ -236,10 +237,10 @@ class RoundAdaptiveEstimator:
     def state_dict(self) -> dict:
         """Portable state: answer history + oracle state + open pass.
 
-        Generator frames are not serializable, so the capture records
-        the per-round answers instead — :meth:`load_state_dict` replays
-        them through a freshly built (same seeds) estimator, which
-        reconstructs the exact generator states.  The open pass (if
+        The lockstep program is not serialized; the capture records the
+        per-round answers instead — :meth:`load_state_dict` replays them
+        through a freshly built (same seeds) estimator, which
+        reconstructs the exact program state.  The open pass (if
         any) is captured directly via its own ``state_dict``; oracle
         randomness rides along so the continuation is bit-identical.
         """
@@ -284,7 +285,7 @@ class RoundAdaptiveEstimator:
             for answers in history:
                 if not self._lockstep.live:
                     raise CheckpointError(
-                        f"estimator {self.name!r}: generators finished before the "
+                        f"estimator {self.name!r}: its rounds finished before the "
                         "recorded history was replayed; the rebuilt estimator "
                         "does not match the captured structure"
                     )
@@ -295,7 +296,7 @@ class RoundAdaptiveEstimator:
                 if not self._lockstep.live:
                     raise CheckpointError(
                         f"estimator {self.name!r}: state carries an open pass but "
-                        "the replayed generators have finished"
+                        "its replayed rounds have finished"
                     )
                 # Rebuild the pass structure from the replayed merged
                 # batch, then overlay the captured runtime state.  The
@@ -340,12 +341,12 @@ def fgp_estimator(
     """
     k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
     oracle_seed, trial_seeds = copy_seeds(rng, k)
-    oracle, generators, finalize = fgp_counter_program(
+    oracle, bank, finalize = fgp_counter_program(
         kind, stream, pattern, [trial_seeds], oracle_seed,
         sampler_repetitions=sampler_repetitions,
     )
     return RoundAdaptiveEstimator(
-        name or f"fgp-{kind}", generators, oracle, lambda run: finalize(run)[0]
+        name or f"fgp-{kind}", bank, oracle, lambda run: finalize(run)[0]
     )
 
 
@@ -384,10 +385,10 @@ def fgp_group_estimator(
     :func:`~repro.streaming.counters.fgp_counter_program`).  A mirror
     copy is a group of one with *copy_indices* ``None``.
     """
-    oracle, generators, finalize = fgp_counter_program(
+    oracle, bank, finalize = fgp_counter_program(
         kind, stream, pattern, trial_seeds, oracle_seed, copy_indices, sampler_repetitions
     )
-    return RoundAdaptiveEstimator(name, generators, oracle, finalize)
+    return RoundAdaptiveEstimator(name, bank, oracle, finalize)
 
 
 def fgp_insertion_estimator(

@@ -18,13 +18,8 @@ from __future__ import annotations
 
 from repro.exact.subgraphs import count_subgraphs
 from repro.experiments.tables import Table
-from repro.fgp.rounds import (
-    WEDGE_BOTH,
-    WEDGE_HIGH_ONLY,
-    WEDGE_LOW_ONLY,
-    SamplerMode,
-    subgraph_sampler_rounds,
-)
+from repro.fgp.bank import FgpTrialBank
+from repro.fgp.rounds import WEDGE_BOTH, WEDGE_HIGH_ONLY, WEDGE_LOW_ONLY, SamplerMode
 from repro.graph import generators as gen
 from repro.patterns import pattern as pattern_zoo
 from repro.streams.stream import insertion_stream
@@ -60,16 +55,13 @@ def pendant_clique_graph(hubs: int, pendants: int) -> Graph:
 def _estimate(graph, pattern, branches, attempts, rng):
     stream = insertion_stream(graph, derive_rng(rng, f"s-{branches}"))
     oracle = InsertionStreamOracle(stream, derive_rng(rng, f"o-{branches}"))
-    generators = [
-        subgraph_sampler_rounds(
-            pattern,
-            rng=derive_rng(rng, i),
-            mode=SamplerMode.AUGMENTED,
-            wedge_branches=branches,
-        )
-        for i in range(attempts)
-    ]
-    outputs = run_round_adaptive(generators, oracle).outputs
+    bank = FgpTrialBank(
+        pattern,
+        [derive_rng(rng, i) for i in range(attempts)],
+        mode=SamplerMode.AUGMENTED,
+        wedge_branches=branches,
+    )
+    outputs = run_round_adaptive(bank, oracle).outputs
     successes = sum(1 for output in outputs if output is not None)
     return (successes / attempts) * (2.0 * graph.m) ** pattern.rho()
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from repro.exact.subgraphs import count_subgraphs
 from repro.experiments.tables import Table
-from repro.fgp.rounds import SamplerMode, subgraph_sampler_rounds
+from repro.fgp.bank import FgpTrialBank
+from repro.fgp.rounds import SamplerMode
 from repro.graph import generators as gen
 from repro.oracle.direct import DirectAugmentedOracle, DirectRelaxedOracle
 from repro.patterns import pattern as pattern_zoo
@@ -27,11 +28,8 @@ from repro.utils.rng import derive_rng, ensure_rng
 
 
 def _success_rate(oracle, pattern, mode, attempts, rng):
-    generators = [
-        subgraph_sampler_rounds(pattern, rng=derive_rng(rng, i), mode=mode)
-        for i in range(attempts)
-    ]
-    run_result = run_round_adaptive(generators, oracle)
+    bank = FgpTrialBank(pattern, [derive_rng(rng, i) for i in range(attempts)], mode=mode)
+    run_result = run_round_adaptive(bank, oracle)
     successes = sum(1 for output in run_result.outputs if output is not None)
     return successes / attempts, run_result
 

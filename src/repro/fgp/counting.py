@@ -1,7 +1,7 @@
 """Query-model wrappers around the FGP sampler (Algorithms 9–11).
 
-These drive :func:`repro.fgp.rounds.subgraph_sampler_rounds` against a
-direct oracle, giving the sublinear-time algorithms of [FGP20]:
+These drive an :class:`~repro.fgp.bank.FgpTrialBank` against a direct
+oracle, giving the sublinear-time algorithms of [FGP20]:
 
 * :func:`sample_subgraph_once` — one attempt (Algorithm 9);
 * :func:`sample_subgraph_uniformly` — repeat until success
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import EstimationError
-from repro.fgp.rounds import SampledCopy, SamplerMode, subgraph_sampler_rounds
+from repro.fgp.bank import FgpTrialBank
+from repro.fgp.rounds import SampledCopy, SamplerMode
 from repro.oracle.direct import DirectAugmentedOracle, DirectRelaxedOracle
 from repro.patterns.pattern import Pattern
 from repro.transform.driver import run_round_adaptive
@@ -36,8 +37,8 @@ def sample_subgraph_once(
     oracle: DirectAugmentedOracle, pattern: Pattern, rng: RandomSource = None
 ) -> Optional[SampledCopy]:
     """One FGP sampling attempt against a direct oracle."""
-    generator = subgraph_sampler_rounds(pattern, rng=rng, mode=_mode_for(oracle))
-    result = run_round_adaptive([generator], oracle)
+    bank = FgpTrialBank(pattern, [rng], mode=_mode_for(oracle))
+    result = run_round_adaptive(bank, oracle)
     return result.outputs[0]
 
 
@@ -97,11 +98,10 @@ def count_subgraph_query_model(
         raise EstimationError(f"attempts must be >= 1, got {attempts}")
     random_state = ensure_rng(rng)
     mode = _mode_for(oracle)
-    generators = [
-        subgraph_sampler_rounds(pattern, rng=derive_rng(random_state, i), mode=mode)
-        for i in range(attempts)
-    ]
-    result = run_round_adaptive(generators, oracle)
+    bank = FgpTrialBank(
+        pattern, [derive_rng(random_state, i) for i in range(attempts)], mode=mode
+    )
+    result = run_round_adaptive(bank, oracle)
     successes = sum(1 for output in result.outputs if output is not None)
     m = oracle.edge_count()
     rho = pattern.rho()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.errors import OracleError
+from repro.errors import GraphError, OracleError
 from repro.graph.graph import Graph
 from repro.oracle.base import (
     AdjacencyQuery,
@@ -43,6 +43,10 @@ class DirectAugmentedOracle:
     insertion order.  Building the graph in stream arrival order makes
     the direct oracle's f3 answers coincide with the Theorem 9
     emulation, which tests exploit.
+
+    Bad queries fail as on the stream oracles: a vertex outside
+    ``[0, n)`` raises :class:`~repro.errors.OracleError`, a self-loop
+    adjacency query :class:`~repro.errors.GraphError`.
     """
 
     def __init__(self, graph: Graph, rng: RandomSource = None) -> None:
@@ -54,6 +58,11 @@ class DirectAugmentedOracle:
     def graph(self) -> Graph:
         return self._graph
 
+    def _check_vertex(self, vertex: int) -> None:
+        n = self._graph.n
+        if not 0 <= vertex < n:
+            raise OracleError(f"query vertex {vertex} is outside [0, {n})")
+
     # -- single-query answers ------------------------------------------
 
     def random_edge(self) -> Optional[Sequence[int]]:
@@ -64,10 +73,12 @@ class DirectAugmentedOracle:
 
     def degree(self, vertex: int) -> int:
         """f2."""
+        self._check_vertex(vertex)
         return self._graph.degree(vertex)
 
     def neighbor(self, vertex: int, index: int) -> Optional[int]:
         """f3 (augmented): i-th neighbor, None when out of range."""
+        self._check_vertex(vertex)
         if index < 0:
             raise OracleError(f"neighbor index must be >= 0, got {index}")
         if index >= self._graph.degree(vertex):
@@ -82,6 +93,10 @@ class DirectAugmentedOracle:
 
     def adjacent(self, u: int, v: int) -> bool:
         """f4."""
+        self._check_vertex(u)
+        self._check_vertex(v)
+        if u == v:
+            raise GraphError(f"self-loop ({u}, {u}) is not allowed in a simple graph")
         return self._graph.has_edge(u, v)
 
     def edge_count(self) -> int:
@@ -154,6 +169,7 @@ class DirectRelaxedOracle(DirectAugmentedOracle):
 
     def random_neighbor(self, vertex: int) -> Optional[int]:
         """f3 (relaxed): a uniformly random neighbor, or None."""
+        self._check_vertex(vertex)
         if self._fails():
             return None
         degree = self._graph.degree(vertex)

@@ -24,7 +24,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import EstimationError
 from repro.estimate.concentration import ParamMode, chernoff_trials
 from repro.estimate.result import EstimateResult
-from repro.fgp.rounds import SamplerMode, subgraph_sampler_rounds
+from repro.fgp.bank import FgpTrialBank
+from repro.fgp.rounds import SamplerMode
 from repro.patterns.pattern import Pattern
 from repro.streams.stream import EdgeStream
 from repro.transform.driver import run_round_adaptive
@@ -141,8 +142,9 @@ def fgp_counter_program(
 
     ``trial_rngs[j][t]`` seeds copy j's trial t (every copy runs the
     same number of trials); *oracle_rng* seeds the one oracle that
-    answers all of them.  Returns ``(oracle, generators, finalize)``:
-    drive the generators against the oracle (sequentially with
+    answers all of them.  Returns ``(oracle, bank, finalize)``: the
+    :class:`~repro.fgp.bank.FgpTrialBank` holds every copy's trials,
+    copy by copy; drive it against the oracle (sequentially with
     :func:`~repro.transform.driver.run_round_adaptive`, or through
     engine passes), then ``finalize(run)`` returns one
     :class:`~repro.estimate.result.EstimateResult` per copy.
@@ -166,16 +168,12 @@ def fgp_counter_program(
         )
     else:
         oracle = InsertionStreamOracle(stream, oracle_rng)
-    generators = [
-        subgraph_sampler_rounds(
-            pattern,
-            rng=rng,
-            mode=counter.sampler_mode,
-            skip_empty_wedge_round=counter.star_only,
-        )
-        for copy_rngs in trial_rngs
-        for rng in copy_rngs
-    ]
+    bank = FgpTrialBank(
+        pattern,
+        [rng for copy_rngs in trial_rngs for rng in copy_rngs],
+        mode=counter.sampler_mode,
+        skip_empty_wedge_round=counter.star_only,
+    )
 
     def finalize(run) -> List[EstimateResult]:
         m = stream.net_edge_count
@@ -209,7 +207,7 @@ def fgp_counter_program(
             )
         return results
 
-    return oracle, generators, finalize
+    return oracle, bank, finalize
 
 
 def copy_seeds(rng: RandomSource, trials: int) -> Tuple[int, List[int]]:
@@ -245,8 +243,8 @@ def count_fgp(
     k = resolve_trials(stream, pattern, epsilon, lower_bound, trials, param_mode)
     stream.reset_pass_count()
     oracle_seed, trial_seeds = copy_seeds(rng, k)
-    oracle, generators, finalize = fgp_counter_program(
+    oracle, bank, finalize = fgp_counter_program(
         kind, stream, pattern, [trial_seeds], oracle_seed,
         sampler_repetitions=sampler_repetitions,
     )
-    return finalize(run_round_adaptive(generators, oracle))[0]
+    return finalize(run_round_adaptive(bank, oracle))[0]

@@ -43,10 +43,10 @@ def sample_copies_stream(
     probability 1/(2m)^ρ(H) per instance, independently).
     """
     oracle_seed, trial_seeds = copy_seeds(rng, instances)
-    oracle, generators, _ = fgp_counter_program(
+    oracle, bank, _ = fgp_counter_program(
         "insertion", stream, pattern, [trial_seeds], oracle_seed
     )
-    return run_round_adaptive(generators, oracle).outputs
+    return run_round_adaptive(bank, oracle).outputs
 
 
 def count_subgraphs_insertion_only(

@@ -9,6 +9,13 @@ for" — merging all round-ℓ batches into a single oracle call, so a
 streaming oracle spends exactly one pass per round regardless of how
 many instances run concurrently.  This is how Theorem 17 runs
 k = Θ((2m)^ρ / (ε² #H)) samplers in the same three passes.
+
+A *lockstep program* is anything with :class:`LockstepState`'s four
+members (``live``, ``merge()``, ``dispatch(answers)``, ``outputs``).
+:class:`LockstepState` makes one of a list of generators; the FGP
+sampler is one natively (:class:`repro.fgp.bank.FgpTrialBank`, whose
+merged batches are :class:`~repro.oracle.base.QueryColumns`).  The
+drivers accept either a lockstep program or a list of generators.
 """
 
 from __future__ import annotations
@@ -103,6 +110,11 @@ class LockstepState:
                 del pending[index]
 
 
+def lockstep(program):
+    """*program* if it is a lockstep program, else a :class:`LockstepState` of its generators."""
+    return program if hasattr(program, "dispatch") else LockstepState(program)
+
+
 def parallel_rounds(algorithms: Sequence[RoundAdaptive]):
     """Compose round-adaptive sub-algorithms into one round-adaptive step.
 
@@ -124,11 +136,11 @@ def parallel_rounds(algorithms: Sequence[RoundAdaptive]):
     return state.outputs
 
 
-def run_round_adaptive(
-    algorithms: Sequence[RoundAdaptive], oracle
-) -> RoundRunResult:
+def run_round_adaptive(algorithms, oracle) -> RoundRunResult:
     """Drive *algorithms* against *oracle*, one oracle call per round.
 
+    *algorithms* is a list of generators or a lockstep program (see
+    :func:`lockstep`).
     The oracle must expose ``answer_batch(batch) -> list``.  For the
     stream-backed oracles each call consumes one pass — read through
     the stream's cached columnar batches
@@ -137,7 +149,7 @@ def run_round_adaptive(
     Theorems 9 and 11 bound by the algorithms' round-adaptivity.
     """
     accounting = QueryAccounting()
-    state = LockstepState(algorithms)
+    state = lockstep(algorithms)
     rounds = 0
     while state.live:
         rounds += 1

@@ -8,16 +8,18 @@ round-adaptive generator, so users designing their own algorithms can
 read off the streaming cost before ever touching a stream:
 
     >>> from repro.transform.profile import profile_rounds
-    >>> from repro.fgp.rounds import subgraph_sampler_rounds
+    >>> from repro.fgp.bank import FgpTrialBank
     >>> from repro.patterns.pattern import triangle
-    >>> report = profile_rounds(
-    ...     lambda: subgraph_sampler_rounds(triangle(), rng=1), oracle)
+    >>> report = profile_rounds(lambda: FgpTrialBank(triangle(), [1]), oracle)
     >>> report.rounds            # -> 3: a 3-pass streaming algorithm
     >>> report.round_profiles    # per-round query-type histograms
 
 The profiler drives the algorithm against a real oracle (answers are
 needed to reach later rounds), recording the batch shape of each
-round.
+round.  The algorithm is a generator, whose batches are lists of query
+objects, or a lockstep program such as the FGP trial bank, whose
+batches are :class:`~repro.oracle.base.QueryColumns`; the histogram
+reads either.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
-from repro.transform.driver import RoundAdaptive
+from repro.oracle.base import QueryAccounting
+from repro.transform.driver import lockstep
 
 
 @dataclass
@@ -73,26 +76,24 @@ class AdaptivityReport:
         return "\n".join(lines)
 
 
-def profile_rounds(
-    algorithm_factory: Callable[[], RoundAdaptive], oracle
-) -> AdaptivityReport:
+def profile_rounds(algorithm_factory: Callable[[], object], oracle) -> AdaptivityReport:
     """Run one instance against *oracle*, recording each round's shape.
 
-    *algorithm_factory* builds a fresh generator (profiling consumes
-    it).  The oracle must expose ``answer_batch``; any of the library's
-    oracles (direct, insertion, turnstile) works.
+    *algorithm_factory* builds a fresh generator, or a lockstep program
+    of one instance (profiling consumes it).  The oracle must expose
+    ``answer_batch``; any of the library's oracles (direct, insertion,
+    turnstile) works.
     """
-    generator = algorithm_factory()
+    algorithm = algorithm_factory()
+    state = lockstep(algorithm if hasattr(algorithm, "dispatch") else [algorithm])
     profiles: List[RoundProfile] = []
-    try:
-        batch = next(generator)
-        while True:
-            counts: Dict[str, int] = {}
-            for query in batch:
-                name = type(query).__name__.replace("Query", "")
-                counts[name] = counts.get(name, 0) + 1
-            profiles.append(RoundProfile(index=len(profiles) + 1, query_counts=counts))
-            answers = oracle.answer_batch(list(batch))
-            batch = generator.send(answers)
-    except StopIteration as stop:
-        return AdaptivityReport(round_profiles=profiles, output=stop.value)
+    while state.live:
+        batch = state.merge()
+        accounting = QueryAccounting()
+        accounting.record_batch(batch)
+        counts: Dict[str, int] = {
+            name.replace("Query", ""): count for name, count in accounting.counts.items()
+        }
+        profiles.append(RoundProfile(index=len(profiles) + 1, query_counts=counts))
+        state.dispatch(oracle.answer_batch(batch))
+    return AdaptivityReport(round_profiles=profiles, output=state.outputs[0])

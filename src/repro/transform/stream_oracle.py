@@ -16,20 +16,22 @@ and indexed arrival watchers over insertion-only streams
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import CheckpointError, GraphError, OracleError
 from repro.oracle.base import (
-    AdjacencyQuery,
-    DegreeQuery,
-    EdgeCountQuery,
-    NeighborQuery,
+    ADJACENCY,
+    DEGREE,
+    EDGE_COUNT,
+    NEIGHBOR,
+    QUERY_KINDS,
+    RANDOM_EDGE,
+    RANDOM_NEIGHBOR,
     QueryAccounting,
     QueryBatch,
-    RandomEdgeQuery,
-    RandomNeighborQuery,
+    QueryColumns,
 )
 from repro.streams.batch import EdgeBatch, VertexMembership, edge_ids, sorted_member_mask
 from repro.streams.space import SpaceMeter
@@ -44,37 +46,19 @@ from repro.utils.rng import RandomSource, ensure_rng
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
-#: The query kinds a stream oracle answers (Definitions 6 and 10).
-_KINDS = (
-    AdjacencyQuery,
-    DegreeQuery,
-    RandomEdgeQuery,
-    NeighborQuery,
-    RandomNeighborQuery,
-    EdgeCountQuery,
-)
-
-
-def _column(vertices: List[int], n: int) -> np.ndarray:
-    try:
-        return np.asarray(vertices, dtype=np.int64)
-    except OverflowError:
-        raise OracleError(f"a query vertex is outside [0, {n})") from None
-
 
 def _check_range(low: int, high: int, n: int) -> None:
     if low < 0 or high >= n:
         raise OracleError(f"query vertex {low if low < 0 else high} is outside [0, {n})")
 
 
-def _vertex_table(vertices: List[int], n: int) -> Tuple[VertexMembership, np.ndarray]:
-    """A filter over the distinct *vertices* and each entry's slot among them.
+def _vertex_table(column: np.ndarray, n: int) -> Tuple[VertexMembership, np.ndarray]:
+    """A filter over the distinct vertices of *column* and each entry's slot among them.
 
     The filter's ``vertices`` are the sorted table.  Raises
     :class:`~repro.errors.OracleError` for a vertex outside ``[0, n)``,
     testing only the two ends of the sorted table.
     """
-    column = _column(vertices, n)
     members = VertexMembership(column, n)
     if len(members):
         _check_range(members.vertices[0], members.vertices[-1], n)
@@ -84,7 +68,9 @@ def _vertex_table(vertices: List[int], n: int) -> Tuple[VertexMembership, np.nda
 class QueryLayout:
     """One query batch, parsed once and never changed afterwards.
 
-    Positions index the batch.  Per query kind:
+    *batch* is a :class:`~repro.oracle.base.QueryColumns`; every bucket
+    below is one mask over its kind column.  Positions index the batch.
+    Per query kind:
 
     * f1: ``edge_positions``;
     * relaxed f3: ``neighbor_positions`` / ``neighbor_vertices`` in
@@ -100,21 +86,16 @@ class QueryLayout:
       order) and each query's ``pair_slots``;
     * edge count: ``count_positions``.
 
-    Raises :class:`~repro.errors.OracleError` for an unsupported query
-    kind (indexed f3 too unless *indexed*), a negative f3 index, or a
-    vertex outside ``[0, n)``.
+    Raises :class:`~repro.errors.OracleError` for indexed f3 unless
+    *indexed*, a negative f3 index, or a vertex outside ``[0, n)``, and
+    :class:`~repro.errors.GraphError` for a self-loop f4 query.
     """
 
-    def __init__(self, batch: QueryBatch, n: int, indexed: bool) -> None:
-        positions: Dict[type, List[int]] = {kind: [] for kind in _KINDS}
-        queries: Dict[type, list] = {kind: [] for kind in _KINDS}
-        for position, query in enumerate(batch):
-            kind = type(query)
-            if kind not in queries:
-                raise OracleError(f"unsupported query type {kind.__name__}")
-            positions[kind].append(position)
-            queries[kind].append(query)
-        if queries[NeighborQuery] and not indexed:
+    def __init__(self, batch: QueryColumns, n: int, indexed: bool) -> None:
+        kinds, a, b = batch.kinds, batch.a, batch.b
+        positions = [np.flatnonzero(kinds == code) for code in range(len(QUERY_KINDS))]
+        index_positions = positions[NEIGHBOR]
+        if len(index_positions) and not indexed:
             raise OracleError(
                 "indexed neighbor queries (f3, Definition 6) cannot be emulated "
                 "over turnstile streams; the relaxed model (Definition 10) uses "
@@ -122,27 +103,28 @@ class QueryLayout:
             )
         self.size = len(batch)
         self.n = n
-        self.edge_positions = positions[RandomEdgeQuery]
-        self.count_positions = positions[EdgeCountQuery]
-        self.neighbor_positions = positions[RandomNeighborQuery]
-        self.neighbor_vertices = [query.vertex for query in queries[RandomNeighborQuery]]
-        self.neighbor_members, self.neighbor_slots = _vertex_table(self.neighbor_vertices, n)
-        self.index_positions = positions[NeighborQuery]
-        self.index_vertices = [query.vertex for query in queries[NeighborQuery]]
-        self.index_values = [query.index for query in queries[NeighborQuery]]
-        if self.index_values and min(self.index_values) < 0:
-            raise OracleError(f"neighbor index must be >= 0, got {min(self.index_values)}")
-        self.index_members = _vertex_table(self.index_vertices, n)[0]
-        self.degree_positions = positions[DegreeQuery]
-        self.degree_members, self.degree_slots = _vertex_table(
-            [query.vertex for query in queries[DegreeQuery]], n
-        )
-        self.pair_positions = positions[AdjacencyQuery]
+        self.edge_positions = positions[RANDOM_EDGE].tolist()
+        self.count_positions = positions[EDGE_COUNT].tolist()
+        neighbor_vertices = a[positions[RANDOM_NEIGHBOR]]
+        self.neighbor_positions = positions[RANDOM_NEIGHBOR].tolist()
+        self.neighbor_vertices = neighbor_vertices.tolist()
+        self.neighbor_members, self.neighbor_slots = _vertex_table(neighbor_vertices, n)
+        index_values = b[index_positions]
+        if len(index_values) and index_values.min() < 0:
+            raise OracleError(f"neighbor index must be >= 0, got {index_values.min()}")
+        index_vertices = a[index_positions]
+        self.index_positions = index_positions.tolist()
+        self.index_vertices = index_vertices.tolist()
+        self.index_values = index_values.tolist()
+        self.index_members = _vertex_table(index_vertices, n)[0]
+        self.degree_positions = positions[DEGREE].tolist()
+        self.degree_members, self.degree_slots = _vertex_table(a[positions[DEGREE]], n)
+        pair_positions = positions[ADJACENCY]
+        self.pair_positions = pair_positions.tolist()
         self.pairs: List[Tuple[int, int]] = []
         self.pair_ids = self.pair_slots = _EMPTY
-        if queries[AdjacencyQuery]:
-            u = _column([query.u for query in queries[AdjacencyQuery]], n)
-            v = _column([query.v for query in queries[AdjacencyQuery]], n)
+        if len(pair_positions):
+            u, v = a[pair_positions], b[pair_positions]
             lo, hi = np.minimum(u, v), np.maximum(u, v)
             _check_range(lo.min(), hi.max(), n)
             loops = lo[lo == hi]
@@ -306,10 +288,20 @@ class StreamOracle:
         return self._stream.passes_used
 
     def _open(self, batch: QueryBatch) -> QueryLayout:
-        """Count *batch*, advance the pass index and lay the batch out."""
+        """Count *batch*, advance the pass index and lay the batch out.
+
+        A query-object batch (a generator program's) is converted to
+        :class:`~repro.oracle.base.QueryColumns` here, once.
+        """
+        n = self._stream.n
         self.accounting.record_batch(batch)
         self._pass_index += 1
-        return QueryLayout(batch, self._stream.n, self.indexed)
+        if not isinstance(batch, QueryColumns):
+            try:
+                batch = QueryColumns.from_queries(batch)
+            except OverflowError:
+                raise OracleError(f"a query vertex is outside [0, {n})") from None
+        return QueryLayout(batch, n, self.indexed)
 
     def answer_batch(self, batch: QueryBatch) -> List[Any]:
         """Answer one round's batch in a single pass over the stream.

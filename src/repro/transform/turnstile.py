@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import CheckpointError, MergeError
 from repro.oracle.base import QueryBatch
 from repro.sketch.l0 import L0Sampler
-from repro.streams.batch import EdgeBatch, edge_from_id, edge_id  # noqa: F401 (f1 ids)
+from repro.streams.batch import EdgeBatch, edge_from_id
 from repro.streams.space import SpaceMeter
 from repro.streams.stream import EdgeStream
 from repro.transform.stream_oracle import ExactCounters, QueryLayout, StreamOracle

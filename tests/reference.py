@@ -30,30 +30,49 @@ class or reads a private field.
 simple-graph stream model that
 :func:`repro.streams.stream.check_updates` enforces column-wise.
 
+:func:`subgraph_sampler_rounds` is one FGP sampling attempt written as
+a generator that yields query-object batches, one attempt at a time:
+the per-trial statement that :class:`repro.fgp.bank.FgpTrialBank`
+reproduces for all trials at once, bit for bit.
+
 :func:`reference_fgp_run` drives the FGP counter (Theorems 1 and 17)
-against a reference oracle, drawing from the seed exactly like
-``fgp_insertion_estimator`` / ``fgp_turnstile_estimator``.
+against a reference oracle with those generators, drawing from the
+seed exactly like ``fgp_insertion_estimator`` / ``fgp_turnstile_estimator``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+import itertools
+import math
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.fgp.rounds import SamplerMode, subgraph_sampler_rounds
-from repro.graph.graph import normalize_edge
+from repro.errors import SketchError
+from repro.fgp.rounds import (
+    WEDGE_BOTH,
+    WEDGE_HIGH_ONLY,
+    WEDGE_LOW_ONLY,
+    SampledCopy,
+    SamplerMode,
+)
+from repro.graph.graph import Edge, Graph, normalize_edge
+from repro.graph.order import VertexOrder
 from repro.oracle.base import (
     AdjacencyQuery,
     DegreeQuery,
     EdgeCountQuery,
     NeighborQuery,
+    Query,
     RandomEdgeQuery,
     RandomNeighborQuery,
 )
+from repro.patterns.canonical import is_canonical_cycle, is_canonical_star
+from repro.patterns.isomorphism import enumerate_spanning_copies
+from repro.patterns.pattern import Pattern
 from repro.sketch.l0 import L0Sampler
 from repro.sketch.reservoir import SkipAheadReservoirBank
 from repro.streams.batch import edge_from_id, edge_id
 from repro.transform.driver import run_round_adaptive
-from repro.utils.rng import derive_rng, ensure_rng
+from repro.utils.rng import RandomSource, derive_rng, ensure_rng
 
 
 class ReferenceInsertionPass:
@@ -240,6 +259,275 @@ class ReferenceOracle:
         answers = state.finish()
         self.passes.append(answers)
         return answers
+
+
+def _orient(edge: Sequence[int], rng) -> Tuple[int, int]:
+    """Random orientation: each directed version with probability 1/2.
+
+    Together with a uniform f1 edge sample this yields each *directed*
+    edge with probability 1/(2m) — the unit the FGP analysis works in.
+    """
+    u, v = edge
+    return (u, v) if rng.random() < 0.5 else (v, u)
+
+
+def subgraph_sampler_rounds(
+    pattern: Pattern,
+    rng: RandomSource = None,
+    mode: str = SamplerMode.AUGMENTED,
+    wedge_branches: str = WEDGE_BOTH,
+    skip_empty_wedge_round: bool = False,
+):
+    """Generator implementing one FGP sampling attempt in 3 rounds.
+
+    Yields query batches (:mod:`repro.oracle.base` objects) and
+    receives answer lists; returns a :data:`SampledCopy` or ``None``.
+    Drive it with :func:`repro.transform.run_round_adaptive`.
+
+    *wedge_branches* is an ablation knob: ``"low_only"`` /
+    ``"high_only"`` disable one branch of SampleWedge (Algorithm 6),
+    which provably biases cycle sampling — experiment A1 measures how.
+
+    *skip_empty_wedge_round* elides round 2 when the Lemma 4
+    decomposition of H has no odd cycles (stars issue no wedge
+    queries), making the sampler 2-round adaptive for such H — the
+    basis of :mod:`repro.streaming.two_pass`.  Off by default so the
+    round/pass structure matches Algorithm 1 verbatim.
+    """
+    if mode not in (SamplerMode.AUGMENTED, SamplerMode.RELAXED):
+        raise SketchError(f"unknown sampler mode {mode!r}")
+    if wedge_branches not in (WEDGE_BOTH, WEDGE_LOW_ONLY, WEDGE_HIGH_ONLY):
+        raise SketchError(f"unknown wedge branch setting {wedge_branches!r}")
+    random_state = ensure_rng(rng)
+    decomposition = pattern.decomposition()
+    cycle_lengths = decomposition.cycle_lengths
+    star_petals = decomposition.star_petals
+    family_count = pattern.family_count()
+
+    # ---- round 1: edge samples + edge count ---------------------------
+    batch1: List[Query] = [EdgeCountQuery()]
+    for length in cycle_lengths:
+        half = (length - 1) // 2
+        batch1.extend(RandomEdgeQuery() for _ in range(half + 1))
+    for petals in star_petals:
+        batch1.extend(RandomEdgeQuery() for _ in range(petals))
+    answers1 = yield batch1
+
+    m = answers1[0]
+    if not m:
+        return None
+    sqrt_2m = math.sqrt(2.0 * m)
+
+    cursor = 1
+    cycle_extras: List[Optional[Tuple[int, int]]] = []
+    cycle_paths: List[Optional[List[Tuple[int, int]]]] = []
+    for length in cycle_lengths:
+        half = (length - 1) // 2
+        raw = answers1[cursor : cursor + half + 1]
+        cursor += half + 1
+        if any(edge is None for edge in raw):
+            cycle_extras.append(None)
+            cycle_paths.append(None)
+            continue
+        oriented = [_orient(edge, random_state) for edge in raw]
+        cycle_extras.append(oriented[0])
+        cycle_paths.append(oriented[1:])
+
+    star_edges: List[Optional[List[Tuple[int, int]]]] = []
+    for petals in star_petals:
+        raw = answers1[cursor : cursor + petals]
+        cursor += petals
+        if any(edge is None for edge in raw):
+            star_edges.append(None)
+        else:
+            star_edges.append([_orient(edge, random_state) for edge in raw])
+
+    sampling_failed = any(p is None for p in cycle_paths) or any(
+        s is None for s in star_edges
+    )
+
+    # ---- round 2: wedge completion per cycle --------------------------
+    # Queries are issued even for already-failed attempts so the round
+    # structure (and hence the pass structure) is input-independent.
+    if skip_empty_wedge_round and not cycle_lengths:
+        wedge_answers: List[Optional[int]] = []
+    else:
+        batch2: List[Query] = []
+        for path in cycle_paths:
+            anchor = path[0][0] if path else 0
+            if mode == SamplerMode.AUGMENTED:
+                index = int(random_state.random() * sqrt_2m)
+                batch2.append(NeighborQuery(anchor, index))
+            else:
+                batch2.append(RandomNeighborQuery(anchor))
+        answers2 = yield batch2
+        wedge_answers = list(answers2)
+
+    # ---- round 3: adjacency + degrees of all sampled vertices ---------
+    sampled_vertices: List[int] = []
+    for extra, path in zip(cycle_extras, cycle_paths):
+        if extra is not None:
+            sampled_vertices.extend(extra)
+        if path is not None:
+            for u, v in path:
+                sampled_vertices.extend((u, v))
+    for edges in star_edges:
+        if edges is not None:
+            for u, v in edges:
+                sampled_vertices.extend((u, v))
+    for w in wedge_answers:
+        if w is not None:
+            sampled_vertices.append(w)
+    vertex_pool: List[int] = sorted(set(sampled_vertices))
+
+    batch3: List[Query] = [
+        AdjacencyQuery(u, v) for u, v in itertools.combinations(vertex_pool, 2)
+    ]
+    degree_offset = len(batch3)
+    batch3.extend(DegreeQuery(v) for v in vertex_pool)
+    answers3 = yield batch3
+
+    if sampling_failed or not vertex_pool:
+        return None
+
+    adjacency: Dict[Edge, bool] = {}
+    for (u, v), present in zip(itertools.combinations(vertex_pool, 2), answers3):
+        adjacency[normalize_edge(u, v)] = bool(present)
+    degrees: Dict[int, int] = {
+        v: answers3[degree_offset + i] for i, v in enumerate(vertex_pool)
+    }
+
+    return _postprocess(
+        pattern=pattern,
+        mode=mode,
+        rng=random_state,
+        m=m,
+        sqrt_2m=sqrt_2m,
+        cycle_extras=cycle_extras,
+        cycle_paths=cycle_paths,
+        wedge_answers=wedge_answers,
+        star_edges=star_edges,
+        adjacency=adjacency,
+        degrees=degrees,
+        family_count=family_count,
+        wedge_branches=wedge_branches,
+    )
+
+
+def _postprocess(
+    pattern: Pattern,
+    mode: str,
+    rng,
+    m: int,
+    sqrt_2m: float,
+    cycle_extras: Sequence[Optional[Tuple[int, int]]],
+    cycle_paths: Sequence[Optional[List[Tuple[int, int]]]],
+    wedge_answers: Sequence[Optional[int]],
+    star_edges: Sequence[Optional[List[Tuple[int, int]]]],
+    adjacency: Dict[Edge, bool],
+    degrees: Dict[int, int],
+    family_count: int,
+    wedge_branches: str = WEDGE_BOTH,
+) -> Optional[SampledCopy]:
+    """SampleWedge branches, canonicality checks, and copy resolution."""
+    order = VertexOrder(degrees)
+
+    def has_edge(u: int, v: int) -> bool:
+        if u == v:
+            return False
+        return adjacency.get(normalize_edge(u, v), False)
+
+    family_vertices: List[int] = []
+    family_edges: List[Edge] = []
+
+    # --- odd cycles (SampleOddCycle + SampleWedge) ----------------------
+    for extra, path, wedge in zip(cycle_extras, cycle_paths, wedge_answers):
+        assert extra is not None and path is not None
+        anchor = path[0][0]  # u_{i,1}: the intended ≺-minimum
+        anchor_degree = degrees[anchor]
+        if anchor_degree <= sqrt_2m:
+            if wedge_branches == WEDGE_HIGH_ONLY:
+                return None  # ablation: low branch disabled
+            # Low-degree branch: wedge vertex came from the neighbor query.
+            if wedge is None:
+                return None
+            closing = wedge
+            if mode == SamplerMode.RELAXED:
+                # Convert the uniform neighbor (prob 1/deg) into prob
+                # 1/√(2m) via an acceptance coin of deg/√(2m).
+                if not rng.random() * sqrt_2m < anchor_degree:
+                    return None
+        else:
+            if wedge_branches == WEDGE_LOW_ONLY:
+                return None  # ablation: high branch disabled
+            # High-degree branch: the extra edge's head is a degree-
+            # proportional vertex sample; thin it to 1/√(2m).
+            closing = extra[0]
+            if not rng.random() * degrees[closing] < sqrt_2m:
+                return None
+        sequence: List[int] = []
+        for u, v in path:
+            sequence.extend((u, v))
+        sequence.append(closing)
+        if len(set(sequence)) != len(sequence):
+            return None
+        if not is_canonical_cycle(sequence, order, has_edge):
+            return None
+        family_vertices.extend(sequence)
+        cycle_edge_list = [
+            normalize_edge(sequence[i], sequence[(i + 1) % len(sequence)])
+            for i in range(len(sequence))
+        ]
+        family_edges.extend(cycle_edge_list)
+
+    # --- stars (SampleStar) ---------------------------------------------
+    for edges in star_edges:
+        assert edges is not None
+        centers = [u for u, _ in edges]
+        petals = [v for _, v in edges]
+        if len(set(centers)) != 1:
+            return None
+        center = centers[0]
+        sequence = [center, *petals]
+        if len(set(sequence)) != len(sequence):
+            return None
+        if not is_canonical_star(sequence, order, has_edge):
+            return None
+        family_vertices.extend(sequence)
+        family_edges.extend(normalize_edge(center, petal) for petal in petals)
+
+    # --- piece union must be exactly a |V(H)|-vertex set -----------------
+    support = sorted(set(family_vertices))
+    if len(support) != pattern.num_vertices or len(support) != len(family_vertices):
+        return None
+
+    # --- resolve which copy the family witnesses -------------------------
+    local_of = {v: i for i, v in enumerate(support)}
+    view = Graph(len(support))
+    for u, v in itertools.combinations(support, 2):
+        if has_edge(u, v):
+            view.add_edge(local_of[u], local_of[v])
+    required_local = {
+        normalize_edge(local_of[u], local_of[v]) for u, v in family_edges
+    }
+    candidates = enumerate_spanning_copies(
+        view, pattern.graph, list(range(len(support))), required_edges=required_local
+    )
+    if not candidates:
+        return None
+    if len(candidates) > family_count:
+        raise SketchError(
+            f"family witnesses {len(candidates)} copies, exceeding f_T(H) = "
+            f"{family_count}; per-copy probability accounting would break"
+        )
+    candidates.sort(key=sorted)
+    slot = int(rng.random() * family_count)
+    if slot >= len(candidates):
+        return None
+    chosen = candidates[slot]
+    return frozenset(
+        normalize_edge(support[u], support[v]) for u, v in chosen
+    )
 
 
 def reference_fgp_run(stream, pattern, trials: int, rng, sampler_repetitions=None):

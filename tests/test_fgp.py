@@ -18,7 +18,8 @@ from repro.fgp.counting import (
     sample_subgraph_once,
     sample_subgraph_uniformly,
 )
-from repro.fgp.rounds import SamplerMode, subgraph_sampler_rounds
+from repro.fgp.bank import FgpTrialBank
+from repro.fgp.rounds import SamplerMode
 from repro.graph import generators as gen
 from repro.oracle.direct import DirectAugmentedOracle, DirectRelaxedOracle
 from repro.patterns import pattern as pattern_zoo
@@ -34,11 +35,8 @@ def _success_rate(graph, pattern, attempts, seed, relaxed=False):
     oracle_cls = DirectRelaxedOracle if relaxed else DirectAugmentedOracle
     mode = SamplerMode.RELAXED if relaxed else SamplerMode.AUGMENTED
     oracle = oracle_cls(graph, derive_rng(rng, "oracle"))
-    generators = [
-        subgraph_sampler_rounds(pattern, rng=derive_rng(rng, i), mode=mode)
-        for i in range(attempts)
-    ]
-    outputs = run_round_adaptive(generators, oracle).outputs
+    bank = FgpTrialBank(pattern, [derive_rng(rng, i) for i in range(attempts)], mode=mode)
+    outputs = run_round_adaptive(bank, oracle).outputs
     for output in outputs:
         if output is not None:
             successes += 1
@@ -139,20 +137,18 @@ class TestRoundStructure:
     def test_exactly_three_rounds(self):
         graph = gen.karate_club()
         oracle = DirectAugmentedOracle(graph, rng=21)
-        generator = subgraph_sampler_rounds(pattern_zoo.cycle(5), rng=22)
-        result = run_round_adaptive([generator], oracle)
+        result = run_round_adaptive(FgpTrialBank(pattern_zoo.cycle(5), [22]), oracle)
         assert result.rounds == 3
 
     def test_empty_graph_returns_none(self):
         from repro.graph.graph import Graph
 
         oracle = DirectAugmentedOracle(Graph(4), rng=23)
-        generator = subgraph_sampler_rounds(pattern_zoo.triangle(), rng=24)
-        result = run_round_adaptive([generator], oracle)
+        result = run_round_adaptive(FgpTrialBank(pattern_zoo.triangle(), [24]), oracle)
         assert result.outputs == [None]
 
     def test_unknown_mode_rejected(self):
         from repro.errors import SketchError
 
         with pytest.raises(SketchError):
-            list(subgraph_sampler_rounds(pattern_zoo.triangle(), rng=1, mode="bogus"))
+            FgpTrialBank(pattern_zoo.triangle(), [1], mode="bogus")

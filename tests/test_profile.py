@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fgp.rounds import SamplerMode, subgraph_sampler_rounds
+from repro.fgp.bank import FgpTrialBank
 from repro.graph import generators as gen
 from repro.oracle.base import DegreeQuery, EdgeCountQuery, RandomEdgeQuery
 from repro.oracle.direct import DirectAugmentedOracle
@@ -37,9 +37,7 @@ class TestProfileRounds:
 
     def test_fgp_sampler_is_three_round(self):
         oracle = DirectAugmentedOracle(gen.karate_club(), rng=2)
-        report = profile_rounds(
-            lambda: subgraph_sampler_rounds(zoo.triangle(), rng=3), oracle
-        )
+        report = profile_rounds(lambda: FgpTrialBank(zoo.triangle(), [3]), oracle)
         assert report.rounds == 3
         # Round 1 carries the edge samples + edge count; round 2 one
         # neighbor query per odd cycle; round 3 adjacency + degrees.
@@ -50,9 +48,7 @@ class TestProfileRounds:
     def test_star_sampler_is_two_round_with_skip(self):
         oracle = DirectAugmentedOracle(gen.karate_club(), rng=4)
         report = profile_rounds(
-            lambda: subgraph_sampler_rounds(
-                zoo.path(3), rng=5, skip_empty_wedge_round=True
-            ),
+            lambda: FgpTrialBank(zoo.path(3), [5], skip_empty_wedge_round=True),
             oracle,
         )
         assert report.rounds == 2
@@ -60,9 +56,7 @@ class TestProfileRounds:
     def test_profile_against_stream_oracle(self):
         stream = insertion_stream(gen.karate_club(), rng=6)
         oracle = InsertionStreamOracle(stream, rng=7)
-        report = profile_rounds(
-            lambda: subgraph_sampler_rounds(zoo.triangle(), rng=8), oracle
-        )
+        report = profile_rounds(lambda: FgpTrialBank(zoo.triangle(), [8]), oracle)
         assert report.rounds == 3
         assert stream.passes_used == 3  # rounds really are passes
 

@@ -9,7 +9,7 @@ an aliased edge id or failing with a raw ``IndexError``/``KeyError``.
 
 import pytest
 
-from repro.errors import OracleError
+from repro.errors import GraphError, OracleError
 from repro.graph import generators as gen
 from repro.oracle.base import (
     AdjacencyQuery,
@@ -18,6 +18,7 @@ from repro.oracle.base import (
     NeighborQuery,
     RandomNeighborQuery,
 )
+from repro.oracle.direct import DirectAugmentedOracle, DirectRelaxedOracle
 from repro.streams.generators import turnstile_churn_stream
 from repro.streams.stream import insertion_stream
 from repro.transform.insertion import InsertionStreamOracle
@@ -75,3 +76,31 @@ def test_boundary_vertices_are_answered_exactly(graph, kind):
         graph.degree(0), graph.degree(last), graph.has_edge(0, last),
         graph.has_edge(0, last - 1), graph.m,
     ]
+
+
+#: Direct oracles beside the stream ones: the relaxed model answers every
+#: query kind of OUT_OF_RANGE, the augmented one the indexed f3 queries.
+ALL_ORACLES = dict(
+    ORACLES,
+    direct=lambda graph: DirectRelaxedOracle(graph, rng=3),
+    direct_augmented=lambda graph: DirectAugmentedOracle(graph, rng=3),
+)
+
+BAD_QUERIES = [(query, OracleError, r"outside \[0, 8\)") for query in OUT_OF_RANGE] + [
+    (AdjacencyQuery(3, 3), GraphError, r"self-loop \(3, 3\)")
+]
+
+
+@pytest.mark.parametrize("kind", ["insertion", "turnstile", "direct"])
+@pytest.mark.parametrize("query, error, message", BAD_QUERIES, ids=repr)
+def test_direct_and_stream_oracles_fail_alike(graph, kind, query, error, message):
+    oracle = ALL_ORACLES[kind](graph)
+    with pytest.raises(error, match=message):
+        oracle.answer_batch([DegreeQuery(0), query, EdgeCountQuery()])
+
+
+@pytest.mark.parametrize("kind", ["insertion", "direct_augmented"])
+@pytest.mark.parametrize("query", [NeighborQuery(-1, 0), NeighborQuery(N, 0)], ids=repr)
+def test_indexed_neighbor_range_fails_alike(graph, kind, query):
+    with pytest.raises(OracleError, match=r"outside \[0, 8\)"):
+        ALL_ORACLES[kind](graph).answer_batch([query])

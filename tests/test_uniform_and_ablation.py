@@ -4,12 +4,8 @@ import pytest
 
 from repro.errors import EstimationError, SketchError
 from repro.exact.subgraphs import count_subgraphs
-from repro.fgp.rounds import (
-    WEDGE_BOTH,
-    WEDGE_HIGH_ONLY,
-    WEDGE_LOW_ONLY,
-    subgraph_sampler_rounds,
-)
+from repro.fgp.bank import FgpTrialBank
+from repro.fgp.rounds import WEDGE_BOTH, WEDGE_HIGH_ONLY, WEDGE_LOW_ONLY
 from repro.graph import generators as gen
 from repro.oracle.direct import DirectAugmentedOracle
 from repro.patterns import pattern as pattern_zoo
@@ -64,24 +60,17 @@ class TestUniformStreamSampler:
 def _ablated_rate(graph, pattern, branches, attempts, seed):
     rng = ensure_rng(seed)
     oracle = DirectAugmentedOracle(graph, derive_rng(rng, "oracle"))
-    generators = [
-        subgraph_sampler_rounds(
-            pattern, rng=derive_rng(rng, i), wedge_branches=branches
-        )
-        for i in range(attempts)
-    ]
-    outputs = run_round_adaptive(generators, oracle).outputs
+    bank = FgpTrialBank(
+        pattern, [derive_rng(rng, i) for i in range(attempts)], wedge_branches=branches
+    )
+    outputs = run_round_adaptive(bank, oracle).outputs
     return sum(1 for output in outputs if output is not None) / attempts
 
 
 class TestWedgeAblation:
     def test_unknown_setting_rejected(self):
         with pytest.raises(SketchError):
-            list(
-                subgraph_sampler_rounds(
-                    pattern_zoo.triangle(), rng=1, wedge_branches="sideways"
-                )
-            )
+            FgpTrialBank(pattern_zoo.triangle(), [1], wedge_branches="sideways")
 
     def test_low_only_suffices_on_low_degree_graph(self):
         graph = gen.karate_club()  # max degree 17 > sqrt(156)=12.5? deg(33)=17

@@ -366,7 +366,7 @@ class TestEdgeBatch:
         assert list(clone) == list(batch)
 
     def test_edge_ids_match_turnstile_encoding(self):
-        from repro.transform.turnstile import edge_id
+        from repro.streams.batch import edge_id
 
         batch = EdgeBatch.from_updates([Update(4, 1), Update(0, 5), Update(2, 3)])
         ids = batch.edge_ids(6).tolist()
