@@ -19,6 +19,11 @@ An estimator is anything implementing the pass-callback protocol:
 * ``end_pass()``          — the pass is over;
 * ``result()``            — the finished estimate.
 
+Shard replicas of a scatter/merge run (:mod:`repro.engine.sharded`)
+also implement ``merge(other)``, ``end_pass_adopting(answers)`` and
+``begin_pass(i, primary)``, which opens the pass over shard 0's
+replica *primary*, whose pass is already open.
+
 The library's estimators additionally implement ``passes_consumed``
 (how many passes they have already been driven through — registration
 rejects non-fresh estimators, whose pass accounting would silently go
@@ -220,8 +225,10 @@ def _drive_local(
     """The in-process pass loop: ``replicas[s][k]`` is fed by ``sources[s]``.
 
     A pass opens on every replica of each estimator that still wants
-    one (as shard 0's replica says), feeds each source's batches to its
-    own replica set, and closes per estimator: shard 0's replica merges
+    one (as shard 0's replica says) — shard 0's first, the others over
+    its frozen pass structure (``begin_pass(i, primary)``) — feeds each
+    source's batches to its own replica set, and closes per estimator:
+    shard 0's replica merges
     the other shards' replicas, ends the pass, and the others adopt its
     answers.  With one source that close is a plain ``end_pass``.
     ``merge_seconds`` times the closes.  With ``threads > 1`` thread
@@ -238,9 +245,10 @@ def _drive_local(
             max_passes, "estimators " + ", ".join(primaries[k].name for k in active)
         )
         grid = [[shard[k] for k in active] for shard in replicas]
-        for shard in grid:
-            for estimator in shard:
-                estimator.begin_pass(counts.passes)
+        for primary, *others in zip(*grid):
+            primary.begin_pass(counts.passes)
+            for other in others:
+                other.begin_pass(counts.passes, primary)
         for elements, batches in _feed_sources(sources, grid, batch_size, threads):
             counts.elements += elements
             counts.dispatches += batches * len(active)

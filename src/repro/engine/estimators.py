@@ -130,14 +130,30 @@ class RoundAdaptiveEstimator:
     def wants_pass(self) -> bool:
         return self._lockstep.live
 
-    def begin_pass(self, pass_index: int) -> None:
+    def begin_pass(
+        self, pass_index: int, primary: Optional["RoundAdaptiveEstimator"] = None
+    ) -> None:
+        """Open the oracle pass for this round's merged batch.
+
+        *primary* is the shard-0 replica of this estimator, whose pass
+        is already open: this replica's pass then shares its frozen
+        structure (``oracle.begin_batch(batch, like=...)``) instead of
+        building its own.
+        """
         if self._state is not None:
             raise EngineError(f"estimator {self.name!r}: begin_pass while a pass is open")
         if not self._lockstep.live:
             raise EngineError(f"estimator {self.name!r}: begin_pass after completion")
         merged = self._lockstep.merge()
         self._accounting.record_batch(merged)
-        self._state = self._oracle.begin_batch(merged)
+        if primary is None:
+            self._state = self._oracle.begin_batch(merged)
+            return
+        if primary._state is None:
+            raise EngineError(
+                f"estimator {self.name!r}: its primary replica has no open pass to share"
+            )
+        self._state = self._oracle.begin_batch(merged, primary._state)
 
     def ingest_batch(self, batch: DecodedBatch) -> None:
         state = self._state

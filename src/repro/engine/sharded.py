@@ -86,7 +86,7 @@ from repro.engine.parallel import (
     make_worker_pool,
     resolve_workers,
 )
-from repro.errors import EngineError
+from repro.errors import EngineError, MergeError
 from repro.estimate.concentration import ParamMode
 from repro.patterns.pattern import Pattern
 from repro.utils.rng import RandomSource
@@ -135,7 +135,8 @@ class ShardedRunner:
     only mergeable when rebuilt from identical seeds — so specs must
     pin seed integers, not live generators (enforced at registration).
 
-    Per pass: every replica opens the pass, shard ``r``'s batches feed
+    Per pass: replica 0 opens the pass, the other replicas open it over
+    replica 0's frozen pass structure, shard ``r``'s batches feed
     replica set ``r``, then — before the pass closes — replicas
     1..R-1 merge into replica 0, replica 0 ends the pass normally, and
     the resulting *global* answers are adopted by the other replicas.
@@ -206,7 +207,7 @@ class ShardedRunner:
                 shard.reset_pass_count()
         count = len(self._shards)
         if self._backend == EngineBackend.PROCESS:
-            primaries = [spec.build(self._handle) for spec in self._specs]
+            primaries = _mergeable([spec.build(self._handle) for spec in self._specs])
             pool = make_worker_pool(
                 EngineBackend.PROCESS,
                 [list(self._specs) for _ in range(count)],
@@ -221,7 +222,8 @@ class ShardedRunner:
             workers = count
         else:
             replicas = [
-                [spec.build(self._handle) for spec in self._specs] for _ in range(count)
+                _mergeable([spec.build(self._handle) for spec in self._specs])
+                for _ in range(count)
             ]
             workers = (
                 resolve_workers(self._workers, count)
@@ -241,6 +243,24 @@ class ShardedRunner:
             workers=workers,
             merge_seconds=counts.merge_seconds,
         )
+
+
+def _mergeable(estimators: list) -> list:
+    """*estimators*, after refusing any that cannot merge shard replicas.
+
+    A replica must implement the merge protocol (``merge``,
+    ``end_pass_adopting``, ``begin_pass(i, primary)``); refusing the
+    rest here keeps the failure a :class:`~repro.errors.MergeError`
+    raised before any pass opens.
+    """
+    for estimator in estimators:
+        if not callable(getattr(estimator, "merge", None)):
+            raise MergeError(
+                f"estimator {estimator.name!r} ({type(estimator).__name__}) cannot "
+                "merge shard replicas; a sharded run needs mergeable (turnstile) "
+                "estimators"
+            )
+    return estimators
 
 
 def count_subgraphs_turnstile_sharded(

@@ -40,6 +40,11 @@ _U3 = np.uint64(3)
 _U29 = np.uint64(29)
 _U32 = np.uint64(32)
 _U61 = np.uint64(61)
+_LOW_MAX = (1 << 32) - 1
+_PRIME_BITS = MERSENNE_PRIME.bit_length()
+#: Levels :func:`hash_levels` computes through float64 bit lengths
+#: (values below ``2^53`` convert exactly).
+_EXACT_FLOAT_LEVELS = 52
 
 #: Exponent bits per window of :func:`power_tables` (64-entry tables).
 WINDOW_BITS = 6
@@ -83,6 +88,43 @@ def mulmod_vec(a: np.ndarray, b, addend=None) -> np.ndarray:
     out &= _P
     out += high
     return _reduce_once(out)
+
+
+def mulmod32_vec(a: np.ndarray, x, addend=None) -> np.ndarray:
+    """:func:`mulmod_vec` for a second factor below ``2^32``.
+
+    With ``x < 2^32`` only *a* needs splitting: ``a·x = (a_hi·x)·2^32 +
+    a_lo·x``, where ``a_hi·x < 2^61`` folds like :func:`mulmod_vec`'s
+    ``mid`` and ``a_lo·x < 2^64`` like its ``ll``, so the two high-limb
+    products are skipped.  Same exact residue, so the two forms agree
+    bit for bit.  Operands broadcast.
+    """
+    return _reduce_once(_mulmod32_folded(a, x, addend))
+
+
+def _mulmod32_folded(a: np.ndarray, x, addend) -> np.ndarray:
+    """``a·x [+ addend]`` congruent mod p and folded below ``2^61 + 3``, not reduced.
+
+    Takes *a* up to ``2^61 + 2`` — its own output — so a Horner chain
+    reduces once at the end.  The folded terms sum below ``3·2^61 +
+    2^33`` with an *addend* < p; one more fold (``2^61 ≡ 1``) leaves
+    at most ``p + 3``.
+    """
+    mid = (a >> _U32) * x
+    out = (a & _MASK32) * x
+    high = out >> _U61
+    out &= _P
+    out += high
+    out += mid >> _U29
+    mid &= _MASK29
+    mid <<= _U32
+    out += mid
+    if addend is not None:
+        out += addend
+    high = out >> _U61
+    out &= _P
+    out += high
+    return out
 
 
 def _reduce_once(out: np.ndarray) -> np.ndarray:
@@ -150,11 +192,18 @@ def horner_vec(coefficients, x: np.ndarray) -> np.ndarray:
     Each ``coefficients[k]`` broadcasts against *x*: scalars give one
     polynomial, a ``(rows, 1)`` column block gives one polynomial per
     row over shared items, and a ``(pairs,)`` gather gives one per
-    ``(row, item)`` pair.
+    ``(row, item)`` pair.  When every ``x`` is below ``2^32`` (every
+    item of a universe up to ``2^32``) each step is a
+    :func:`mulmod32_vec`, left folded but unreduced until the last;
+    otherwise the full :func:`mulmod_vec`.
     """
     if len(coefficients) == 1:
         return addmod_vec(np.zeros_like(x), coefficients[0])
     accumulator = coefficients[0]
+    if x.size and int(x.max()) <= _LOW_MAX:
+        for coefficient in coefficients[1:]:
+            accumulator = _mulmod32_folded(accumulator, x, coefficient)
+        return _reduce_once(accumulator)
     for coefficient in coefficients[1:]:
         accumulator = mulmod_vec(accumulator, x, coefficient)
     return accumulator
@@ -191,11 +240,18 @@ def hash_levels(raw: np.ndarray, max_level: int) -> np.ndarray:
     The scalar loop halves ``MERSENNE_PRIME`` down and stops at the
     first threshold the hash reaches, so ``level = #{k in [1,
     max_level] : raw < p >> k}`` (the thresholds are decreasing, so
-    the satisfied set is a prefix).  A ``searchsorted`` against the
-    ascending threshold array counts that prefix per value.
+    the satisfied set is a prefix).  As ``p >> k = 2^(61-k) - 1``, that
+    count is ``max_level - bitlen((raw + 1) >> (61 - max_level))``; the
+    shifted value is below ``2^max_level``, so up to
+    :data:`_EXACT_FLOAT_LEVELS` levels ``frexp`` reads its bit length
+    exactly.  Past that, a ``searchsorted`` against the ascending
+    threshold array counts the prefix per value.
     """
     if max_level < 1:
         return np.zeros(raw.shape, dtype=np.int64)
+    if max_level <= _EXACT_FLOAT_LEVELS:
+        top = (raw + np.uint64(1)) >> np.uint64(_PRIME_BITS - max_level)
+        return max_level - np.frexp(top.astype(np.float64))[1].astype(np.int64)
     thresholds = np.array(
         [MERSENNE_PRIME >> k for k in range(max_level, 0, -1)], dtype=np.uint64
     )

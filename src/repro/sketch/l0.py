@@ -19,12 +19,14 @@ and a sampler over one adjacency-list column emulates f3 (uniform
 neighbor).
 
 :class:`L0Sampler` holds a whole *bank* of samplers as arrays, one row
-per (sampler, repetition) — row ``sampler * repetitions + repetition``:
-hash coefficients ``(8, rows)``, fingerprint bases ``(rows,)``, and the
-one-sparse aggregates as ``(rows, levels + 1)`` cells.  One
-:meth:`~L0Sampler.update_many_arrays` call drives every sampler of a
-turnstile pass, so the per-call cost is paid per batch, not per
-sampler and repetition.
+per (sampler, repetition) — row ``sampler * repetitions + repetition``.
+The *frozen part* — hash coefficients ``(8, rows)``, fingerprint bases
+``(rows,)`` and their power tables — is drawn once and never written
+in place, so shard replicas share it (:meth:`~L0Sampler.replica`);
+the one-sparse aggregates are each bank's own ``(rows, levels + 1)``
+cells.  One :meth:`~L0Sampler.update_many_arrays` call drives every
+sampler of a turnstile pass, so the per-call cost is paid per batch,
+not per sampler and repetition.
 """
 
 from __future__ import annotations
@@ -143,18 +145,48 @@ class L0Sampler:
                 # All levels of one repetition share a fingerprint base so
                 # an update needs a single modular exponentiation.
                 bases.append(draw_base(child))
-        rows = len(bases)
         # Coefficient-major: _coefficients[k] is one coefficient over all rows.
-        self._coefficients = np.array(coefficients, dtype=np.uint64).reshape(
-            rows, _HASH_INDEPENDENCE
-        ).T.copy()
-        self._bases = np.array(bases, dtype=np.uint64)
-        cells = (rows, self._levels + 1)
+        self._freeze(
+            np.array(coefficients, dtype=np.uint64).reshape(-1, _HASH_INDEPENDENCE).T.copy(),
+            np.array(bases, dtype=np.uint64),
+        )
+        self._zero_cells()
+
+    def _freeze(self, coefficients: np.ndarray, bases: np.ndarray) -> None:
+        """Install a frozen part as read-only arrays; power tables on first use."""
+        coefficients.flags.writeable = False
+        bases.flags.writeable = False
+        self._coefficients = coefficients
+        self._bases = bases
+        self._tables: Optional[np.ndarray] = None
+
+    def _zero_cells(self) -> None:
+        cells = (len(self._bases), self._levels + 1)
         self._weight = np.zeros(cells, dtype=np.int64)
         self._sum_high = np.zeros(cells, dtype=np.int64)
         self._sum_low = np.zeros(cells, dtype=np.int64)
         self._fingerprint = np.zeros(cells, dtype=np.uint64)
-        self._tables: Optional[np.ndarray] = None
+
+    def replica(self) -> "L0Sampler":
+        """A bank over this bank's frozen part, with zeroed cells.
+
+        The coefficients, bases and power tables (built here if this
+        bank has not built them yet) are the same read-only arrays, not
+        copies, so a replica costs only its cells; it
+        merges with this bank (:meth:`merge`) like an identically
+        seeded one.  A restore (:meth:`load_sampler_state`,
+        :meth:`load_state_dict`) copies the frozen arrays of the bank it
+        loads before writing them, so siblings are unaffected.
+        """
+        replica = type(self).__new__(type(self))
+        replica._universe = self._universe
+        replica._levels = self._levels
+        replica._repetitions = self._repetitions
+        replica._coefficients = self._coefficients
+        replica._bases = self._bases
+        replica._tables = self._power_tables()
+        replica._zero_cells()
+        return replica
 
     @property
     def universe(self) -> int:
@@ -243,27 +275,45 @@ class L0Sampler:
         gathered coefficients.  Either way one call drives the bank:
 
         * blocks of ~8k ``(row, item)`` pairs, never rows × items at once;
-        * per pair, a Horner hash assigns the level, the row's window
-          tables give ``z^item`` (:func:`~repro.sketch.hashing.powmod_rows`),
-          and one product gives the signed fingerprint term;
-        * one ``np.add.at`` into ``(row × level)`` limb bins, then a
-          suffix ``cumsum`` along levels (an item at level L updates
-          cells 0..L), folded in with the limb carry.
+        * per pair, a Horner hash assigns the level and the row's
+          window tables give ``z^item``
+          (:func:`~repro.sketch.hashing.powmod_rows`);
+        * one ``np.add.at`` per limb into ``(row × level)`` bins — the
+          fingerprint as ``delta`` times the 32-bit limbs of ``z^item``
+          — then a suffix ``cumsum`` along levels (an item at level L
+          updates cells 0..L), folded in with the limb carry and one
+          reduction of the fingerprint limbs mod p per cell.
+
+        Before hashing, the batch is folded to one ``(sampler, item)``
+        per key with its net delta, and zero nets are dropped
+        (:func:`_net_deltas`): every cell is linear in delta, so this is
+        exact, and an insert that a delete of the same batch cancels
+        costs nothing.
 
         Bit-identical to :meth:`update_many`: every field operation is
         exact and the integer aggregates are exact limb sums.  A batch
         with ``max|delta| × length`` above 2^30 takes the scalar path.
+        Columns of different lengths, items outside the universe and
+        sampler indices outside the bank raise
+        :class:`~repro.errors.SketchError` before any cell changes.
         """
         items = np.ascontiguousarray(items, dtype=np.int64)
+        deltas = np.ascontiguousarray(deltas, dtype=np.int64)
+        if samplers is not None:
+            samplers = np.ascontiguousarray(samplers, dtype=np.int64)
+        if len(deltas) != len(items) or (samplers is not None and len(samplers) != len(items)):
+            sampler_count = "" if samplers is None else f", {len(samplers)} samplers"
+            raise SketchError(
+                f"update columns differ in length: {len(items)} items, "
+                f"{len(deltas)} deltas{sampler_count}"
+            )
         if not len(items) or not len(self._bases):
             return
-        deltas = np.ascontiguousarray(deltas, dtype=np.int64)
         universe = self._universe
         if items.min() < 0 or items.max() >= universe:
             bad = items[(items < 0) | (items >= universe)][0]
             raise SketchError(f"item {int(bad)} outside universe [0, {universe})")
         if samplers is not None:
-            samplers = np.ascontiguousarray(samplers, dtype=np.int64)
             if samplers.min() < 0 or samplers.max() >= self.samplers:
                 raise SketchError(f"sampler index outside bank of {self.samplers}")
         # Min/max as Python ints: np.abs(int64 min) would itself wrap.
@@ -277,6 +327,9 @@ class L0Sampler:
                     self.update_many(
                         zip(items[mask].tolist(), deltas[mask].tolist()), sampler
                     )
+            return
+        items, deltas, samplers = _net_deltas(items, deltas, samplers)
+        if not len(items):
             return
         rows_total = len(self._bases)
         width = self._levels + 1
@@ -318,28 +371,32 @@ class L0Sampler:
 
         *rows*, *items* and *deltas* broadcast to the block's pairs.
         The five bin rows are the weight, the weighted-sum limbs
-        (``item >> 32``, ``item & (2^32-1)``) and the fingerprint term's
-        32-bit limbs.
+        (``item >> 32``, ``item & (2^32-1)``; the high limb is always 0
+        below a universe of ``2^32`` and skipped) and ``delta`` times the
+        32-bit limbs of ``z^item``, exact in int64 under the batch's
+        ``Σ|delta| <= 2^30``.
         """
         exponents = items.astype(np.uint64)
         raw = horner_vec(self._coefficients[:, rows], exponents % np.uint64(_PRIME))
-        cells = rows * (self._levels + 1) + hash_levels(raw, self._levels)
+        cells = (rows * (self._levels + 1) + hash_levels(raw, self._levels)).ravel()
         powers = powmod_rows(self._power_tables(), rows, exponents)
-        signed = mulmod_vec((deltas % _PRIME).astype(np.uint64), powers)
-        cells = cells.ravel()
-        for column, values in zip(bins, (
-            deltas,
-            deltas * (items >> 32),
-            deltas * (items & _LOW_MASK),
-            (signed >> _U32).astype(np.int64),
-            (signed & _MASK32).astype(np.int64),
-        )):
-            np.add.at(column, cells, np.broadcast_to(values, signed.shape).ravel())
+        columns = [
+            (0, deltas),
+            (2, deltas * (items & _LOW_MASK)),
+            (3, deltas * (powers >> _U32).astype(np.int64)),
+            (4, deltas * (powers & _MASK32).astype(np.int64)),
+        ]
+        if self._universe > _LOW_MASK + 1:
+            columns.append((1, deltas * (items >> 32)))
+        for bin_row, values in columns:
+            np.add.at(bins[bin_row], cells, np.broadcast_to(values, powers.shape).ravel())
 
     def _power_tables(self) -> np.ndarray:
-        """Per-row window tables for ``z^item``, built on first use."""
+        """Per-row window tables for ``z^item``, built on first use (read-only)."""
         if self._tables is None:
-            self._tables = power_tables(self._bases, (self._universe - 1).bit_length())
+            tables = power_tables(self._bases, (self._universe - 1).bit_length())
+            tables.flags.writeable = False
+            self._tables = tables
         return self._tables
 
     def _accumulate(self, rows: slice, weight, high, low, fingerprint) -> None:
@@ -417,8 +474,8 @@ class L0Sampler:
             samplers=(self.samplers, other.samplers),
         )
         for field, mine, theirs in (
-            ("bases", self._bases, other._bases),
             ("coefficients", self._coefficients, other._coefficients),
+            ("bases", self._bases, other._bases),
         ):
             if not np.array_equal(mine, theirs):
                 raise MergeError(
@@ -477,6 +534,24 @@ class L0Sampler:
         queries behave exactly as the captured sampler's would.  The
         whole capture is validated before any cell changes.
         """
+        self._restore([(sampler, state)])
+
+    def _restore(self, captures) -> None:
+        """Load ``(sampler, state)`` captures into a private copy of the frozen part.
+
+        Replicas may share the frozen arrays, so they are copied, never
+        written in place; the copy is frozen again (and the power
+        tables dropped) even when a capture is refused part-way.
+        """
+        self._coefficients = self._coefficients.copy()
+        self._bases = self._bases.copy()
+        try:
+            for sampler, state in captures:
+                self._load_sampler(sampler, state)
+        finally:
+            self._freeze(self._coefficients, self._bases)
+
+    def _load_sampler(self, sampler: int, state: dict) -> None:
         rows = self._rows(sampler)
         check_state_config(
             "L0Sampler",
@@ -536,7 +611,6 @@ class L0Sampler:
         self._sum_high[rows] = high
         self._sum_low[rows] = low
         self._fingerprint[rows] = np.array(fingerprint, dtype=np.uint64).reshape(-1, width)
-        self._tables = None
 
     def state_dict(self) -> dict:
         """Every sampler's :meth:`sampler_state`, in bank order."""
@@ -550,8 +624,30 @@ class L0Sampler:
                 f"L0Sampler state carries {len(captured)} samplers for a bank of "
                 f"{self.samplers}"
             )
-        for sampler, sampler_state in enumerate(captured):
-            self.load_sampler_state(sampler, sampler_state)
+        self._restore(enumerate(captured))
+
+
+def _net_deltas(items: np.ndarray, deltas: np.ndarray, samplers: Optional[np.ndarray]):
+    """Fold a batch to one ``(sampler, item)`` per key with its net delta.
+
+    Returns ``(items, deltas, samplers)`` sorted by key, with zero nets
+    dropped; *samplers* stays ``None`` when given ``None``.  Keys sort
+    column by column (``lexsort``), never through an int64 product
+    ``sampler × universe + item`` that could wrap.  Nets are exact:
+    the caller's ``max|delta| × length <= 2^30`` bounds every sum.
+    """
+    keys = (items,) if samplers is None else (items, samplers)
+    order = np.lexsort(keys)
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for column in keys:
+        ordered = column[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    net = np.add.reduceat(deltas[order], starts)
+    nonzero = net != 0
+    kept = order[starts[nonzero]]
+    return items[kept], net[nonzero], None if samplers is None else samplers[kept]
 
 
 def _limbs(weight: Sequence[int], weighted: Sequence[int]):

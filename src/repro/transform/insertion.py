@@ -262,15 +262,17 @@ class InsertionStreamOracle(StreamOracle):
 
     deletions = False
 
-    def begin_batch(self, batch: QueryBatch) -> InsertionPassState:
+    def begin_batch(self, batch: QueryBatch, like=None) -> InsertionPassState:
         """Open a pass for *batch* without touching the stream.
 
         The returned :class:`InsertionPassState` must be fed exactly one
         full pass worth of decoded updates and then finished.  Used by
         the fused engine, which iterates the stream once on behalf of
-        every registered estimator.
+        every registered estimator.  *like* (a replica's open pass over
+        the same batch) shares its query layout; the reservoirs are
+        this pass's own.
         """
-        layout = self._open(batch)
+        layout = self._open(batch, like)
         return InsertionPassState(self, layout, self._pass_index)
 
     def merge(self, other: "InsertionStreamOracle") -> None:

@@ -287,15 +287,25 @@ class StreamOracle:
         """Stream passes consumed so far."""
         return self._stream.passes_used
 
-    def _open(self, batch: QueryBatch) -> QueryLayout:
+    def _open(self, batch: QueryBatch, like=None) -> QueryLayout:
         """Count *batch*, advance the pass index and lay the batch out.
 
         A query-object batch (a generator program's) is converted to
-        :class:`~repro.oracle.base.QueryColumns` here, once.
+        :class:`~repro.oracle.base.QueryColumns` here, once.  With
+        *like* — an open pass of a replica oracle over the same batch —
+        its layout is reused instead.
         """
         n = self._stream.n
         self.accounting.record_batch(batch)
         self._pass_index += 1
+        if like is not None:
+            layout = like._layout
+            if len(batch) != layout.size or n != layout.n:
+                raise OracleError(
+                    f"a replica pass over {len(batch)} queries (n={n}) cannot share "
+                    f"the layout of {layout.size} queries (n={layout.n})"
+                )
+            return layout
         if not isinstance(batch, QueryColumns):
             try:
                 batch = QueryColumns.from_queries(batch)

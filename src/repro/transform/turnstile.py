@@ -33,7 +33,7 @@ from repro.streams.space import SpaceMeter
 from repro.streams.stream import EdgeStream
 from repro.transform.stream_oracle import ExactCounters, QueryLayout, StreamOracle
 from repro.utils.checkpoint import check_merge_config, state_field
-from repro.utils.rng import RandomSource, derive_rng, seed_fingerprint
+from repro.utils.rng import RandomSource, derive_rng, derive_seed, seed_fingerprint
 
 
 class TurnstilePassState:
@@ -49,6 +49,14 @@ class TurnstilePassState:
     takes the whole batch, the neighbor bank takes the batch's
     ``(sampler, neighbor)`` pairs.  No randomness is drawn during
     ingestion, so answers do not depend on how the stream is batched.
+
+    The layout, the sampler grouping and the banks' frozen parts never
+    change once built.  A shard replica passes the primary replica's
+    state of the same pass as *like* and opens over those, read-only,
+    with its own zeroed counters and cells
+    (:meth:`~repro.sketch.l0.L0Sampler.replica`).  It still advances
+    the oracle rng by the same seed draws, so the replicas' rngs stay
+    in lockstep.
     """
 
     __slots__ = (
@@ -62,32 +70,46 @@ class TurnstilePassState:
         "_sampler_order",
     )
 
-    def __init__(self, oracle: "TurnstileStreamOracle", layout: QueryLayout, pass_index: int) -> None:
+    def __init__(
+        self,
+        oracle: "TurnstileStreamOracle",
+        layout: QueryLayout,
+        pass_index: int,
+        like: Optional["TurnstilePassState"] = None,
+    ) -> None:
         self._oracle = oracle
         self._layout = layout
         self._counters = ExactCounters(layout)
         n = layout.n
 
         # Each sampler's seed comes off the oracle rng in batch-position
-        # order, f1 and f3 samplers interleaved.
+        # order, f1 and f3 samplers interleaved.  A replica draws the
+        # same seeds and discards them.
+        draw = derive_rng if like is None else derive_seed
         edge_rngs: list = []
         neighbor_rngs: list = []
         for position, label, rngs in heapq.merge(
             ((p, "l0edge", edge_rngs) for p in layout.edge_positions),
             ((p, "l0nbr", neighbor_rngs) for p in layout.neighbor_positions),
         ):
-            rngs.append(derive_rng(oracle._rng, f"{label}-{pass_index}-{position}"))
-        repetitions = oracle._sampler_repetitions
-        self._edge_bank = L0Sampler.bank(max(1, n * (n - 1) // 2), edge_rngs, repetitions)
-        self._neighbor_bank = L0Sampler.bank(n, neighbor_rngs, repetitions)
-        # Samplers grouped by watched vertex, as a CSR over the sorted
-        # vertices: watched vertex k owns samplers
-        # order[starts[k]:starts[k + 1]].
-        slots = layout.neighbor_slots
-        self._sampler_order = np.argsort(slots, kind="stable")
-        self._sampler_starts = np.concatenate(
-            ([0], np.cumsum(np.bincount(slots, minlength=len(layout.neighbor_members))))
-        )
+            rngs.append(draw(oracle._rng, f"{label}-{pass_index}-{position}"))
+        if like is None:
+            repetitions = oracle._sampler_repetitions
+            self._edge_bank = L0Sampler.bank(max(1, n * (n - 1) // 2), edge_rngs, repetitions)
+            self._neighbor_bank = L0Sampler.bank(n, neighbor_rngs, repetitions)
+            # Samplers grouped by watched vertex, as a CSR over the
+            # sorted vertices: watched vertex k owns samplers
+            # order[starts[k]:starts[k + 1]].
+            slots = layout.neighbor_slots
+            self._sampler_order = np.argsort(slots, kind="stable")
+            self._sampler_starts = np.concatenate(
+                ([0], np.cumsum(np.bincount(slots, minlength=len(layout.neighbor_members))))
+            )
+        else:
+            self._edge_bank = like._edge_bank.replica()
+            self._neighbor_bank = like._neighbor_bank.replica()
+            self._sampler_order = like._sampler_order
+            self._sampler_starts = like._sampler_starts
 
         self._component = f"turnstile-pass-{pass_index}"
         words = (
@@ -198,10 +220,8 @@ class TurnstilePassState:
             tuple(pair): int(count) for pair, count in state_field(kind, state, "pair_counts")
         }
         self._counters.load_state_dict(kind, state, "pair_counts", pair_counts)
-        for sampler, captured in enumerate(edge_states):
-            edge_bank.load_sampler_state(sampler, captured)
-        for sampler, captured in enumerate(neighbor_states):
-            neighbor_bank.load_sampler_state(sampler, captured)
+        edge_bank.load_state_dict({"samplers": edge_states})
+        neighbor_bank.load_state_dict({"samplers": neighbor_states})
 
     def finish(self) -> List[Any]:
         """Collect the batch's answers and release the pass's space."""
@@ -238,14 +258,19 @@ class TurnstileStreamOracle(StreamOracle):
         super().__init__(stream, rng, space_meter)
         self._sampler_repetitions = sampler_repetitions
 
-    def begin_batch(self, batch: QueryBatch) -> TurnstilePassState:
+    def begin_batch(
+        self, batch: QueryBatch, like: Optional[TurnstilePassState] = None
+    ) -> TurnstilePassState:
         """Open a pass for *batch* without touching the stream.
 
         Counterpart of :meth:`InsertionStreamOracle.begin_batch` for the
-        fused engine; the caller owns the stream iteration.
+        fused engine; the caller owns the stream iteration.  A shard
+        replica passes the primary replica's open pass over the same
+        batch as *like* and shares its frozen structure (see
+        :class:`TurnstilePassState`).
         """
-        layout = self._open(batch)
-        return TurnstilePassState(self, layout, self._pass_index)
+        layout = self._open(batch, like)
+        return TurnstilePassState(self, layout, self._pass_index, like)
 
     def merge(self, other: "TurnstileStreamOracle") -> None:
         """Validate that *other* is a replica oracle in lockstep with self.

@@ -12,7 +12,10 @@ execution paths that the engine guarantees are **bit-identical**:
 * serial vs thread vs process backends,
 * sharded scatter/merge ingestion (random shard counts and random
   by-edge partitions, shard files with vertex ids past 2^32) vs the
-  unsharded mirror run.
+  unsharded mirror run,
+* the ℓ0-sampler bank's array kernel vs its scalar reference (random
+  bank sizes, universes on both sides of 2^32, repeats and
+  cancellations, edge-style and sampler-indexed updates).
 
 Seeds policy
 ------------
@@ -118,6 +121,7 @@ CASES_WORLDS = 6
 CASES_GEN_REPLAY = 10
 CASES_SHARDED = 12
 CASES_SHARD_FILES = 8
+CASES_L0_KERNEL = 12
 
 
 @pytest.mark.parametrize("case", range(CASES_SCALAR))
@@ -570,3 +574,59 @@ def test_shard_files_big_ids_round_trip(case, tmp_path):
     assert sorted(reassembled) == sorted(zip(u.tolist(), v.tolist(), d.tolist())), (
         f"shard union lost rows (case={case}, base_seed={BASE_SEED})"
     )
+
+
+@pytest.mark.parametrize("case", range(CASES_L0_KERNEL))
+def test_l0_kernel_array_vs_scalar(case):
+    # L0Sampler.update_many_arrays (net-delta coalescing, the 32-bit
+    # Horner step below 2^32 and the wide one past it) must leave every
+    # cell bit-identical to the scalar per-pair definition.
+    import numpy as np
+
+    from repro.sketch.l0 import L0Sampler
+
+    rng = case_rng(case, "l0kernel")
+    universe = rng.choice([
+        rng.randrange(2, 5000),
+        (1 << 32) - rng.randrange(0, 3),
+        (1 << 32) + rng.randrange(1, 3),
+        rng.randrange(1 << 33, 1 << 44),
+    ])
+    samplers = rng.randrange(1, 6)
+    repetitions = rng.randrange(1, 5)
+    seeds = [rng.randrange(1 << 30) for _ in range(samplers)]
+    scalar = L0Sampler.bank(universe, seeds, repetitions)
+    vector = L0Sampler.bank(universe, seeds, repetitions)
+    indexed = case % 2 == 1
+    context = (
+        f"case={case}, base_seed={BASE_SEED}, universe={universe}, "
+        f"samplers={samplers}, indexed={indexed}"
+    )
+    pool = [rng.randrange(universe) for _ in range(rng.randrange(1, 12))]
+    pool += [item for item in ((1 << 32) - 1, 1 << 32, universe - 1) if item < universe]
+    for _ in range(rng.randrange(1, 4)):
+        rows = []
+        for _ in range(rng.randrange(0, 80)):
+            item, owner = rng.choice(pool), rng.randrange(samplers)
+            delta = rng.choice([1, -1, 1, 2, -3])
+            rows.append((item, delta, owner))
+            if rng.random() < 0.3:  # cancelled later in the same batch
+                rows.append((item, -delta, owner))
+        rng.shuffle(rows)
+        items = np.array([row[0] for row in rows], dtype=np.int64)
+        deltas = np.array([row[1] for row in rows], dtype=np.int64)
+        if indexed:
+            for sampler in range(samplers):
+                scalar.update_many(
+                    [(item, delta) for item, delta, owner in rows if owner == sampler], sampler
+                )
+            vector.update_many_arrays(
+                items, deltas, np.array([row[2] for row in rows], dtype=np.int64)
+            )
+        else:
+            scalar.update_many([(item, delta) for item, delta, _ in rows])
+            vector.update_many_arrays(items, deltas)
+    assert vector.state_dict() == scalar.state_dict(), f"cells diverge ({context})"
+    assert [vector.sample(s) for s in range(samplers)] == [
+        scalar.sample(s) for s in range(samplers)
+    ], f"samples diverge ({context})"

@@ -19,6 +19,10 @@ every layer:
   fail loudly;
 * estimator level (:class:`RoundAdaptiveEstimator`) — replica checks
   (name, history lockstep, open pass) and answer adoption;
+* frozen replicas — a replica pass opened over shard 0's pass shares
+  its layout and ℓ0 coefficients, bases and power tables read-only,
+  keeps its own cells, and a restore into one replica leaves its
+  siblings untouched;
 * end to end — sharded turnstile runs are bit-equal to the unsharded
   mirror run at shard counts {1, 2, 3, 8} on every backend, and the
   acceptance rail ``repro count --shards N`` works from the CLI.
@@ -40,7 +44,14 @@ from repro.engine import (
     fgp_turnstile_estimator,
     sharded_stream_handle,
 )
-from repro.errors import EngineError, MergeError
+from repro.errors import EngineError, MergeError, SketchError
+from repro.oracle.base import (
+    AdjacencyQuery,
+    DegreeQuery,
+    EdgeCountQuery,
+    RandomEdgeQuery,
+    RandomNeighborQuery,
+)
 from repro.sketch.l0 import L0Sampler
 from repro.sketch.onesparse import OneSparseRecovery
 from repro.sketch.reservoir import (
@@ -50,7 +61,8 @@ from repro.sketch.reservoir import (
 )
 from repro.streams.generators import turnstile_churn_stream
 from repro.streams.stream import ColumnEdgeStream
-from repro.utils.rng import ensure_rng
+from repro.transform.turnstile import TurnstileStreamOracle
+from repro.utils.rng import ensure_rng, seed_fingerprint
 
 
 def _turnstile_fixture():
@@ -266,6 +278,162 @@ class TestPassStateMerge:
             left.merge(right)
 
 
+_FROZEN = ("_coefficients", "_bases", "_tables")
+
+_REPLICA_BATCH = [
+    RandomEdgeQuery(), RandomNeighborQuery(3), DegreeQuery(2), RandomEdgeQuery(),
+    AdjacencyQuery(0, 5), RandomNeighborQuery(7), EdgeCountQuery(), RandomNeighborQuery(3),
+]
+
+
+def _bank(seed):
+    return L0Sampler.bank(4096, [seed, seed + 1], repetitions=4)
+
+
+def _fed(bank, updates):
+    bank.update_many_arrays(
+        np.array([i for i, _ in updates]), np.array([d for _, d in updates])
+    )
+    return bank
+
+
+class TestFrozenReplicas:
+    """Replica passes open over shard 0's frozen structure (``like=``)."""
+
+    def _passes(self, stream, seeds=(5, 5, 5)):
+        """An oracle and its open pass per seed; passes after the first are replicas."""
+        handle = StreamHandle.of(stream)
+        oracles = [TurnstileStreamOracle(handle, rng=seed) for seed in seeds]
+        primary = oracles[0].begin_batch(_REPLICA_BATCH)
+        others = [oracle.begin_batch(_REPLICA_BATCH, like=primary) for oracle in oracles[1:]]
+        return oracles, [primary] + others
+
+    def test_replica_frozen_arrays_are_read_only_and_shared(self):
+        bank = _bank(1)
+        replica = bank.replica()
+        for name in _FROZEN:
+            assert getattr(replica, name) is getattr(bank, name)
+            assert not getattr(replica, name).flags.writeable
+        assert not np.shares_memory(replica._weight, bank._weight)
+        with pytest.raises(ValueError, match="read-only"):
+            replica._coefficients[0, 0] = 1
+
+        oracles, (primary, replica_pass) = self._passes(_turnstile_fixture(), (5, 5))
+        assert replica_pass._layout is primary._layout
+        for bank_name in ("_edge_bank", "_neighbor_bank"):
+            for name in _FROZEN:
+                frozen = getattr(getattr(replica_pass, bank_name), name)
+                assert frozen is getattr(getattr(primary, bank_name), name)
+                assert not frozen.flags.writeable
+        # The replica drew (and dropped) the same seeds as the primary.
+        assert seed_fingerprint(oracles[0]._rng) == seed_fingerprint(oracles[1]._rng)
+
+    def test_replica_pass_equals_a_pass_built_alone(self):
+        stream = _turnstile_fixture()
+        batches = list(stream.batches(64))
+        cut = len(batches) // 2
+        _, (primary, whole, second) = self._passes(stream)
+        alone = TurnstileStreamOracle(stream, rng=5).begin_batch(_REPLICA_BATCH)
+        for batch in batches:
+            whole.ingest_batch(batch)
+            alone.ingest_batch(batch)
+        assert whole.state_dict() == alone.state_dict()
+        # Replicas fed the two halves merge into the whole pass exactly.
+        for batch in batches[:cut]:
+            primary.ingest_batch(batch)
+        for batch in batches[cut:]:
+            second.ingest_batch(batch)
+        primary.merge(second)
+        assert primary.state_dict() == alone.state_dict()
+        answers = alone.finish()
+        assert primary.finish() == whole.finish() == answers
+        assert any(answer not in (None, 0, False) for answer in answers)
+
+    def test_loading_one_replica_leaves_its_siblings_unchanged(self):
+        # The restore path of checkpoints and of the process backend's
+        # merge: the loaded replica takes the capture's frozen arrays,
+        # the shared ones are never written.
+        bank = _fed(_bank(1), [(3, 1), (17, 1)])
+        first, second = _fed(bank.replica(), [(5, 1)]), _fed(bank.replica(), [(99, -1)])
+        stranger = _fed(_bank(40), [(42, 1), (3, -1)])
+        before = [bank.state_dict(), second.state_dict()]
+        first.load_state_dict(stranger.state_dict())
+        assert first.state_dict() == stranger.state_dict()
+        assert [bank.state_dict(), second.state_dict()] == before
+        for name in ("_coefficients", "_bases"):
+            assert not np.shares_memory(getattr(first, name), getattr(bank, name))
+            assert getattr(second, name) is getattr(bank, name)
+            assert not getattr(first, name).flags.writeable
+
+        stream = _turnstile_fixture()
+        batches = list(stream.batches(64))
+        _, passes = self._passes(stream)
+        for index, state in enumerate(passes):
+            for batch in batches[index::3]:
+                state.ingest_batch(batch)
+        captured = TurnstileStreamOracle(stream, rng=11).begin_batch(_REPLICA_BATCH)
+        for batch in batches:
+            captured.ingest_batch(batch)
+        before = [passes[0].state_dict(), passes[2].state_dict()]
+        passes[1].load_state_dict(captured.state_dict())
+        assert passes[1].state_dict() == captured.state_dict()
+        assert [passes[0].state_dict(), passes[2].state_dict()] == before
+        assert passes[1].finish() == captured.finish()
+
+    def test_restore_refused_part_way_leaves_no_stale_power_tables(self):
+        # Sampler 0 of the capture loads before sampler 1 is refused; its
+        # new bases must not be paired with the old bases' power tables.
+        from repro.errors import CheckpointError
+
+        bank = _fed(_bank(1), [(3, 1)])
+        capture = _fed(_bank(50), [(8, 1)]).state_dict()
+        capture["samplers"][1]["sketches"] = capture["samplers"][1]["sketches"][:1]
+        with pytest.raises((CheckpointError, SketchError)):
+            bank.load_state_dict(capture)
+        alone = _fed(_bank(1), [(3, 1)])
+        alone.load_sampler_state(0, capture["samplers"][0])
+        for target in (bank, alone):
+            target.update_many_arrays(np.array([5, 9]), np.array([1, 1]))
+        assert bank.sampler_state(0) == alone.sampler_state(0)
+
+    def test_thread_feeders_over_one_frozen_part_equal_serial(self):
+        # More feeder threads than cores, switching often, all reading
+        # shard 0's frozen arrays: a write to a shared array (or a lost
+        # cell update) would move the estimates off the serial ones.
+        import sys
+
+        stream = _dense_turnstile_fixture()
+        pattern = patterns.triangle()
+        unsharded = count_subgraphs_turnstile_fused(
+            stream, pattern, copies=2, trials=32, rng=9, mode=FusionMode.MIRROR
+        )
+        assert unsharded.estimate > 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for backend, workers in ((EngineBackend.SERIAL, 1), (EngineBackend.THREAD, 4)):
+                sharded = count_subgraphs_turnstile_sharded(
+                    _hash_shards(stream, 8), pattern, copies=2, trials=32, rng=9,
+                    backend=backend, workers=workers, batch_size=32,
+                )
+                assert sharded.estimates == unsharded.estimates, backend
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_differently_seeded_replicas_name_coefficients(self):
+        with pytest.raises(MergeError, match="coefficients"):
+            _bank(1).replica().merge(_bank(3))
+        stream = _turnstile_fixture()
+        _, (primary, replica) = self._passes(stream, (5, 5))
+        stranger = TurnstileStreamOracle(StreamHandle.of(stream), rng=6).begin_batch(
+            _REPLICA_BATCH
+        )
+        for state in (primary, replica):
+            with pytest.raises(MergeError, match="coefficients"):
+                state.merge(stranger)
+        primary.merge(replica)
+
+
 class TestShardedEndToEnd:
     @pytest.mark.parametrize("shards", [1, 2, 3, 8])
     def test_shard_count_invariance(self, shards):
@@ -373,6 +541,20 @@ class TestShardedEndToEnd:
             ))
         with pytest.raises(MergeError):
             runner.run()
+
+    def test_unmergeable_estimators_refused_before_any_pass(self):
+        from repro.engine.parallel import build_triest
+
+        stream = _turnstile_fixture()
+        for backend in (EngineBackend.SERIAL, EngineBackend.PROCESS):
+            shards = _hash_shards(stream, 2)
+            runner = ShardedRunner(shards, backend=backend)
+            runner.register(EstimatorSpec(
+                name="triest", factory=build_triest, kwargs=dict(capacity=10, rng=1),
+            ))
+            with pytest.raises(MergeError, match="cannot merge shard replicas"):
+                runner.run()
+            assert [shard.passes_used for shard in shards] == [0, 0]
 
     def test_union_handle_carries_global_metadata(self):
         stream = _turnstile_fixture()

@@ -32,10 +32,15 @@ from repro.oracle.base import (
     RandomEdgeQuery,
     RandomNeighborQuery,
 )
+from repro.errors import SketchError
 from repro.sketch.hashing import (
     MERSENNE_PRIME,
     PolynomialHash,
+    geometric_level,
+    hash_levels,
+    horner,
     horner_vec,
+    mulmod32_vec,
     mulmod_vec,
     power_tables,
     powmod_rows,
@@ -67,6 +72,47 @@ class TestFieldKernels:
             out = mulmod_vec(np.full(len(edge), x, dtype=np.uint64), edge)
             for i, y in enumerate(edge.tolist()):
                 assert int(out[i]) == (x * y) % p
+
+    def test_narrow_and_wide_mulmod_agree_at_the_boundaries(self):
+        # mulmod32_vec takes a second factor below 2^32; at and around
+        # that bound (and at the field's ends) it must equal the wide
+        # kernel and Python ints, with and without an addend.
+        p = MERSENNE_PRIME
+        wide = [0, 1, 2, (1 << 31), (1 << 32) - 1, 1 << 32, (1 << 32) + 1, p - 2, p - 1]
+        narrow = [0, 1, 2, (1 << 31), (1 << 32) - 2, (1 << 32) - 1]
+        a = np.array([x for x in wide for _ in narrow], dtype=np.uint64)
+        x = np.array(narrow * len(wide), dtype=np.uint64)
+        for addend in (None, 0, 1, p - 1):
+            expected = [
+                (int(ai) * int(xi) + (addend or 0)) % p for ai, xi in zip(a, x)
+            ]
+            assert mulmod32_vec(a, x, addend).tolist() == expected
+            assert mulmod_vec(a, x, addend).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "item", [0, (1 << 32) - 2, (1 << 32) - 1, 1 << 32, 1 << 40, MERSENNE_PRIME - 1]
+    )
+    def test_horner_switches_kernels_exactly_at_two_to_the_32(self, item):
+        # A block whose largest item is 2^32 - 1 steps with the narrow
+        # kernel, one reaching 2^32 with the wide one; both equal the
+        # scalar Horner.
+        hashes = [PolynomialHash(8, rng=seed) for seed in range(4)]
+        coefficients = np.array([h.coefficients for h in hashes], dtype=np.uint64).T
+        items = [item, 0, 1, 12345]
+        x = np.array(items, dtype=np.uint64) % np.uint64(MERSENNE_PRIME)
+        block = horner_vec(coefficients[:, :, None], x[None, :])
+        assert block.tolist() == [[horner(h.coefficients, i) for i in items] for h in hashes]
+
+    @pytest.mark.parametrize("max_level", [1, 2, 12, 45, 52, 53, 60, 61])
+    def test_hash_levels_match_scalar_at_thresholds(self, max_level):
+        # Both sides of every threshold p >> k, plus the field's ends.
+        p = MERSENNE_PRIME
+        raw = {0, 1, p - 2, p - 1}
+        for k in range(1, 62):
+            raw.update(value for value in ((p >> k) - 1, p >> k, (p >> k) + 1) if value >= 0)
+        raw = sorted(raw)
+        levels = hash_levels(np.array(raw, dtype=np.uint64), max_level)
+        assert levels.tolist() == [geometric_level(value, max_level) for value in raw]
 
     @pytest.mark.parametrize("bits", [1, 6, 11, 39, 63])
     def test_powmod_rows_matches_builtin_pow(self, bits):
@@ -157,6 +203,75 @@ class TestBatchedSketches:
         # Every level's weight, weighted sum and fingerprint, per repetition.
         assert scalar.state_dict() == vector.state_dict()
         assert scalar.sample() == vector.sample()
+
+    @pytest.mark.parametrize("case", [
+        "repeated-items",
+        "cancelling-pairs",
+        "all-cancel",
+        "sampler-indexed",
+        "sampler-indexed-cancel",
+        "heavy-deltas",
+        "universe-2^32",
+        "universe-past-2^32",
+    ])
+    def test_l0_update_many_arrays_matches_scalar(self, case):
+        # One array call against the scalar reference, per sampler.
+        rng = random.Random(case)
+        universe = {"universe-2^32": 1 << 32, "universe-past-2^32": (1 << 32) + 5}.get(
+            case, 3000
+        )
+        samplers = 3
+        items = [rng.randrange(universe) for _ in range(60)]
+        deltas = [rng.choice([1, -1, 2]) for _ in items]
+        owners = [rng.randrange(samplers) for _ in items]
+        if case == "repeated-items":
+            items = [items[i % 7] for i in range(len(items))]
+        elif case in ("cancelling-pairs", "sampler-indexed-cancel"):
+            items, owners = items + items[::2], owners + owners[::2]
+            deltas = deltas + [-d for d in deltas[::2]]
+        elif case == "all-cancel":
+            items, owners = items + items[::-1], owners + owners[::-1]
+            deltas = deltas + [-d for d in deltas[::-1]]
+        elif case == "heavy-deltas":
+            deltas = [d << 26 for d in deltas]
+        elif case.startswith("universe"):
+            extra = [((1 << 32) - 1, 1), (0, 1), ((1 << 32) - 1, 1), (1, -1)]
+            if universe > 1 << 32:
+                extra += [(1 << 32, 1), (universe - 1, -1), (1 << 32, 2)]
+            items += [item for item, _ in extra]
+            deltas += [delta for _, delta in extra]
+            owners += [rng.randrange(samplers) for _ in extra]
+        rngs = [11, 12, 13]
+        scalar = L0Sampler.bank(universe, rngs, repetitions=4)
+        vector = L0Sampler.bank(universe, rngs, repetitions=4)
+        if case.startswith("sampler-indexed"):
+            for sampler in range(samplers):
+                scalar.update_many(
+                    [(i, d) for i, d, o in zip(items, deltas, owners) if o == sampler], sampler
+                )
+            vector.update_many_arrays(np.array(items), np.array(deltas), np.array(owners))
+        else:
+            scalar.update_many(zip(items, deltas))
+            vector.update_many_arrays(np.array(items), np.array(deltas))
+        assert scalar.state_dict() == vector.state_dict()
+        for sampler in range(samplers):
+            assert scalar.sample(sampler) == vector.sample(sampler)
+        if case == "all-cancel":
+            assert vector.state_dict() == L0Sampler.bank(universe, rngs, 4).state_dict()
+
+    def test_l0_update_many_arrays_refuses_ragged_columns(self):
+        # A length-1 delta column must not broadcast over the items, and
+        # a short sampler column must not reach numpy: both are typed
+        # refusals that leave every cell unchanged.
+        bank = L0Sampler.bank(100, [1, 2], repetitions=2)
+        before = bank.state_dict()
+        with pytest.raises(SketchError, match="differ in length"):
+            bank.update_many_arrays(np.array([1, 2, 3]), np.array([1]))
+        with pytest.raises(SketchError, match="differ in length"):
+            bank.update_many_arrays(np.array([1, 2, 3]), np.array([1, 1, 1]), np.array([0, 1]))
+        with pytest.raises(SketchError, match="differ in length"):
+            bank.update_many_arrays(np.array([], dtype=np.int64), np.array([1]))
+        assert bank.state_dict() == before
 
     def test_l0_large_deltas_take_the_exact_path(self):
         # max|delta| × batch beyond 2^30 could wrap the int64 limb sums;
