@@ -242,13 +242,12 @@ def test_throughput_columnar_pipeline(benchmark, capsys):
 
 
 def test_throughput_serial_vs_parallel_backend(benchmark, capsys):
-    """The thread and process backends vs serial at K=32 (mirror mode).
+    """The process backend vs serial at K=32 (mirror mode).
 
     One fused mirror-mode run per row, identical seeds throughout, so
     every row's estimate is the same nonzero number (a triangle-dense
     ``power_law_cluster`` graph; most copies see a success) and the
     table isolates *execution* cost: the serial row is the in-process dispatch loop,
-    the thread rows add queue hops (by-reference handoff, no copies),
     the process rows add the shared-memory ring transport — each batch
     packed once, every worker handed a slot reference — and divide the
     estimator work by the pool size.
@@ -271,7 +270,7 @@ def test_throughput_serial_vs_parallel_backend(benchmark, capsys):
     cpus = os.cpu_count() or 1
 
     table = Table(
-        f"Serial vs thread vs process backends, mirror mode (K={copies}, "
+        f"Serial vs process backend, mirror mode (K={copies}, "
         f"trials/copy={trials_per_copy}, m={graph.m}, cpus={cpus})",
         ["backend", "workers", "seconds", "elements/s", "speedup vs serial",
          "valid", "estimate"],
@@ -311,29 +310,28 @@ def test_throughput_serial_vs_parallel_backend(benchmark, capsys):
         }
     ]
     speedups = {}
-    for backend in ("thread", "process"):
-        for workers in dict.fromkeys([1, 2, max(2, cpus)]):
-            result, seconds = run_fused(backend, workers)
-            # Mirror mode: sharding may not be *fast* on this machine,
-            # but it must never change the answer.
-            assert result.estimates == serial.estimates
-            valid = cpus >= workers + 1
-            speedup = serial_seconds / seconds
-            speedups[(backend, workers)] = speedup
-            table.add_row(backend, workers, seconds,
-                          ensemble_elements / seconds, speedup, valid,
-                          result.estimate)
-            rows.append(
-                {
-                    "backend": backend,
-                    "workers": workers,
-                    "seconds": seconds,
-                    "edges_per_sec": ensemble_elements / seconds,
-                    "speedup_vs_serial": speedup,
-                    "valid_parallelism": valid,
-                    "estimate": result.estimate,
-                }
-            )
+    for workers in dict.fromkeys([1, 2, max(2, cpus)]):
+        result, seconds = run_fused("process", workers)
+        # Mirror mode: sharding may not be *fast* on this machine, but
+        # it must never change the answer.
+        assert result.estimates == serial.estimates
+        valid = cpus >= workers + 1
+        speedup = serial_seconds / seconds
+        speedups[workers] = speedup
+        table.add_row("process", workers, seconds,
+                      ensemble_elements / seconds, speedup, valid,
+                      result.estimate)
+        rows.append(
+            {
+                "backend": "process",
+                "workers": workers,
+                "seconds": seconds,
+                "edges_per_sec": ensemble_elements / seconds,
+                "speedup_vs_serial": speedup,
+                "valid_parallelism": valid,
+                "estimate": result.estimate,
+            }
+        )
 
     emit_table(table, "throughput_parallel", capsys, json_twin=False)
     emit_json(
@@ -350,16 +348,14 @@ def test_throughput_serial_vs_parallel_backend(benchmark, capsys):
         },
         rows=rows,
         extra={
-            "best_process_speedup": max(
-                speedups[k] for k in speedups if k[0] == "process"
-            ),
+            "best_process_speedup": max(speedups.values()),
         },
     )
 
     # The ISSUE's >= 2x acceptance gate — only meaningful where the
     # pool has real cores to shard onto.
     if cpus >= 4:
-        best = max(speedups[("process", w)] for w in (2, max(2, cpus)))
+        best = max(speedups[w] for w in (2, max(2, cpus)))
         assert best >= 2.0, (
             f"process backend must be >= 2x serial on a {cpus}-CPU box, "
             f"got {best:.2f}x"

@@ -16,13 +16,12 @@ can be driven without writing Python:
   3-pass turnstile, or the 2-pass star-decomposable variant) on an
   edge-list graph streamed in random order.  ``--copies K`` runs
   median-of-K amplification through the fused engine in the same 3
-  (resp. 2) passes, and ``--backend thread|process [--workers N]``
-  shards those K copies across a pool of daemon threads or of worker
-  processes fed through a shared-memory batch ring
-  (:mod:`repro.engine.parallel`; ``--parallel`` is the historical
-  alias for ``--backend process``); ``--mode mirror`` (the default)
-  keeps the estimates identical across backends and worker counts for
-  a fixed ``--seed``, ``--mode shared`` trades that for speed;
+  (resp. 2) passes, and ``--backend process [--workers N]`` shards
+  those K copies across a pool of worker processes fed through a
+  shared-memory batch ring (:mod:`repro.engine.parallel`); ``--mode
+  mirror`` (the default) keeps the estimates identical across
+  backends and worker counts for a fixed ``--seed``, ``--mode
+  shared`` trades that for speed;
   ``--batch-size`` sets the columnar dispatch granularity (results
   are invariant to it — it only trades loop overhead against peak
   batch memory).  The graph argument may also be a converted
@@ -35,7 +34,9 @@ can be driven without writing Python:
   or on-the-fly views — each fed to an independent replica of every
   estimator copy, with the linear sketch states merged before each
   pass closes; estimates stay bit-identical to the unsharded mirror
-  run at any shard count, while resident memory is bounded per shard;
+  run at any shard count, while resident memory is bounded per shard
+  (``--backend process`` runs one worker per shard, so ``--workers``
+  is refused there);
 * ``live``     — open-ended **live estimation** over an update feed
   (:mod:`repro.engine.live`): K mirror copies of a streaming counter
   ingest updates incrementally from a converted ``.reb``/``.npz``
@@ -197,13 +198,7 @@ def _count(args: argparse.Namespace) -> int:
 
     disk_input = is_stream_path(args.graph)
     pattern = parse_pattern(args.pattern)
-    # --parallel is the historical alias for --backend process; an
-    # explicit --backend serial alongside it is a contradiction.
-    if args.parallel and args.backend == "serial":
-        print("error: --parallel requests a worker pool; drop it or pick "
-              "--backend thread|process", file=sys.stderr)
-        return 2
-    backend = args.backend or ("process" if args.parallel else "serial")
+    backend = args.backend or "serial"
     sharded = args.shards is not None
     # An explicit --copies (any value — bad ones get the library's
     # validation error), a parallel backend, or partitioned ingestion
@@ -227,21 +222,24 @@ def _count(args: argparse.Namespace) -> int:
         print("error: --adaptive cannot be combined with --shards",
               file=sys.stderr)
         return 2
+    if sharded and args.workers is not None:
+        print("error: --workers has no effect with --shards: a sharded "
+              "process run starts one worker per shard", file=sys.stderr)
+        return 2
     if sharded and args.mode == "shared":
         print("error: --shards runs mirror-mode replicas (merging requires "
               "identically seeded copies); drop --mode shared", file=sys.stderr)
         return 2
     if not fused and args.mode is not None:
-        print("error: --mode requires a fused run (--copies K or a parallel "
-              "--backend)", file=sys.stderr)
+        print("error: --mode requires a fused run (--copies K or --backend "
+              "process)", file=sys.stderr)
         return 2
     if args.workers is not None and backend == "serial":
-        print("error: --workers requires --backend thread|process (or --parallel)",
-              file=sys.stderr)
+        print("error: --workers requires --backend process", file=sys.stderr)
         return 2
     if args.batch_size is not None and not fused:
-        print("error: --batch-size requires a fused run (--copies K or a "
-              "parallel --backend)", file=sys.stderr)
+        print("error: --batch-size requires a fused run (--copies K or "
+              "--backend process)", file=sys.stderr)
         return 2
     if args.batch_size is not None and args.batch_size < 1:
         print(f"error: --batch-size must be >= 1, got {args.batch_size}",
@@ -290,8 +288,8 @@ def _count(args: argparse.Namespace) -> int:
 
     if args.adaptive:
         if fused:
-            print("error: --adaptive cannot be combined with --copies or a "
-                  "parallel --backend", file=sys.stderr)
+            print("error: --adaptive cannot be combined with --copies or "
+                  "--backend process", file=sys.stderr)
             return 2
         result = count_subgraphs_unknown(
             stream, pattern, epsilon=args.epsilon, rng=args.seed + 1
@@ -325,14 +323,12 @@ def _count(args: argparse.Namespace) -> int:
             trials=args.trials,
             rng=args.seed + 1,
             backend=backend,
-            workers=args.workers,
             batch_size=args.batch_size or DEFAULT_BATCH_SIZE,
             cache=cache,
         )
     elif fused:
         # Median-of-K amplification through the fused engine; on the
-        # thread/process backends the K copies shard across a worker
-        # pool.  Mirror mode keeps the estimates identical across
+        # process backend the K copies shard across a worker pool.  Mirror mode keeps the estimates identical across
         # backends and worker counts for a fixed seed.
         from repro.engine.core import DEFAULT_BATCH_SIZE
         from repro.engine.fused import count_fgp_fused
@@ -773,20 +769,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--seed", type=int, default=0)
     p_count.add_argument("--truth", action="store_true", help="also print exact #H")
     p_count.add_argument("--copies", type=int, default=None,
-                         help="median-of-K fused copies (default: 1, or 8 on a "
-                              "parallel backend)")
-    p_count.add_argument("--backend", choices=["serial", "thread", "process"],
+                         help="median-of-K fused copies (default: 1, or 8 on "
+                              "the process backend or with --shards)")
+    p_count.add_argument("--backend", choices=["serial", "process"],
                          default=None,
                          help="execution backend for the fused copies: serial "
-                              "(default), thread (daemon threads, zero-copy "
-                              "handoff), or process (worker processes fed "
+                              "(default) or process (worker processes fed "
                               "through a shared-memory batch ring); mirror-mode "
-                              "estimates are identical across all three")
-    p_count.add_argument("--parallel", action="store_true",
-                         help="alias for --backend process")
+                              "estimates are identical across both")
     p_count.add_argument("--workers", type=int, default=None,
-                         help="pool size for the thread/process backends "
-                              "(default: one per CPU)")
+                         help="pool size for --backend process (default: one "
+                              "per CPU; refused with --shards, which runs one "
+                              "worker per shard)")
     p_count.add_argument("--batch-size", type=int, default=None,
                          help="updates per dispatched engine batch (fused runs; "
                               "results are invariant to it)")
@@ -797,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--cache-budget", default=None, metavar="BYTES",
                          help="LRU byte budget with --cache lru (e.g. 64M, 1gb)")
     p_count.add_argument("--mode", choices=["mirror", "shared"], default=None,
-                         help="fusion mode for --copies/--parallel runs: mirror "
+                         help="fusion mode for fused runs: mirror "
                          "(per-copy oracles, backend-independent estimates; the "
                          "default) or shared (merged oracles, fastest)")
     p_count.add_argument("--shards", type=int, default=None, metavar="N",
@@ -926,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_worlds.add_argument("--window-fraction", type=float, default=None,
                           help="sliding_window size as a fraction of m "
                                "(default: 0.5)")
-    p_worlds.add_argument("--backend", choices=["serial", "thread", "process"],
+    p_worlds.add_argument("--backend", choices=["serial", "process"],
                           default=None,
                           help="engine backend cells run on (default: serial)")
     p_worlds.add_argument("--cells", nargs="*", default=None, metavar="SUBSTR",

@@ -6,8 +6,8 @@ iteration of each stream pass, dispatching decoded updates in
 configurable batches.  See :mod:`repro.engine.core` for the executor
 and pass-callback protocol, :mod:`repro.engine.estimators` for the
 adapters, :mod:`repro.engine.fused` for the median-of-K fused counting
-entry points, :mod:`repro.engine.parallel` for the thread and process
-execution backends (the worker protocol, the shared-memory batch
+entry points, :mod:`repro.engine.parallel` for the process execution
+backend (the worker pool and its protocol, the shared-memory batch
 ring, :class:`EstimatorSpec` and :class:`StreamHandle`), and
 :mod:`repro.engine.live` for the
 checkpointable live layer (:class:`LiveEngine`: open-ended ``feed``,
@@ -35,17 +35,15 @@ Median amplification in 3 passes instead of 3K::
         stream, patterns.triangle(), copies=32, trials=200, rng=7)
     fused.estimate                 # median of 32 independent copies
 
-The same 3 passes, with the K copies sharded across workers — daemon
-threads (zero-serialization handoff; the numpy kernels release the
-GIL) or processes (batches published once through a shared-memory
-ring).  CLI equivalent: ``python -m repro count --backend thread
---workers 4``::
+The same 3 passes, with the K copies sharded across worker processes
+(batches published once through a shared-memory ring).  CLI
+equivalent: ``python -m repro count --backend process --workers 4``::
 
     fused = count_subgraphs_insertion_only_fused(
         stream, patterns.triangle(), copies=32, trials=200, rng=7,
-        mode="mirror", backend="thread", workers=4)
+        mode="mirror", backend="process", workers=4)
     # mirror-mode estimates are bit-identical to backend="serial"
-    # for the same seeds, whatever the worker count or backend.
+    # for the same seeds, whatever the worker count.
 
 When the *stream* — not the copy count — is the bottleneck, the
 scatter/merge driver (:mod:`repro.engine.sharded`) splits it into

@@ -50,28 +50,27 @@ default), ``"lru:<bytes>"`` a bounded working set (disk streams
 bigger than RAM), ``"none"`` nothing.  Results are identical across
 all of these.
 
-The engine runs on one of three execution backends
-(:class:`EngineBackend`): ``serial`` dispatches in-process; ``thread``
-and ``process`` shard the registered estimator *specs* across a worker
-pool while this process keeps the single stream iteration and
-publishes the decoded batches — by reference to threads, through a
-shared-memory batch ring to processes (:mod:`repro.engine.parallel`).
+The engine runs on one of two execution backends
+(:class:`EngineBackend`): ``serial`` dispatches in-process;
+``process`` shards the registered estimator *specs* across a pool of
+worker processes while this process keeps the single stream iteration
+and publishes the decoded batches through a shared-memory batch ring
+(:mod:`repro.engine.parallel`).
 
 Two pass drivers run every batch pass of the package.  The in-process
 loop here (``_drive_local``) feeds ``replicas[s][k]`` from source
 ``s``: one source is the serial engine, several sources are the
-serial and thread backends of :class:`~repro.engine.sharded.ShardedRunner`,
-whose replicas merge into shard 0 before the pass closes.  The pool
-loop (``_drive_pool`` in :mod:`repro.engine.parallel`) publishes each
-source's batches to worker processes or threads instead.
+serial backend of :class:`~repro.engine.sharded.ShardedRunner`, whose
+replicas merge into shard 0 before the pass closes.  The pool loop
+(``_drive_pool`` in :mod:`repro.engine.parallel`) publishes each
+source's batches to worker processes instead.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import EngineError, StreamError
 from repro.streams.batch import EdgeBatch
@@ -149,15 +148,6 @@ class EngineBackend:
         All estimators run in this process, inside the engine's own
         dispatch loop — the default, and the only backend that accepts
         live (pre-built) estimator objects.
-    ``THREAD``
-        Estimators are sharded across a pool of daemon threads running
-        the same worker loop as the process backend
-        (:mod:`repro.engine.parallel`).  Batches are handed over by
-        reference — zero serialization — and the columnar numpy
-        kernels release the GIL, so thread workers overlap on real
-        work.  Registration goes through specs (uniform with the
-        process backend, and what the live engine's checkpoints
-        require).
     ``PROCESS``
         Estimators are sharded across a multiprocessing worker pool.
         Registration goes through picklable
@@ -168,10 +158,9 @@ class EngineBackend:
     """
 
     SERIAL = "serial"
-    THREAD = "thread"
     PROCESS = "process"
 
-    _ALL = (SERIAL, THREAD, PROCESS)
+    _ALL = (SERIAL, PROCESS)
 
 
 def check_engine_config(
@@ -220,7 +209,6 @@ def _drive_local(
     replicas: Sequence[Sequence[Any]],
     batch_size: int,
     max_passes: int,
-    threads: int = 1,
 ) -> PassCounts:
     """The in-process pass loop: ``replicas[s][k]`` is fed by ``sources[s]``.
 
@@ -231,9 +219,7 @@ def _drive_local(
     shard 0's replica merges
     the other shards' replicas, ends the pass, and the others adopt its
     answers.  With one source that close is a plain ``end_pass``.
-    ``merge_seconds`` times the closes.  With ``threads > 1`` thread
-    ``t`` feeds sources ``t, t+T, ...`` concurrently; every replica is
-    touched by one thread only.
+    ``merge_seconds`` times the closes.
     """
     counts = PassCounts()
     primaries = replicas[0]
@@ -249,9 +235,12 @@ def _drive_local(
             primary.begin_pass(counts.passes)
             for other in others:
                 other.begin_pass(counts.passes, primary)
-        for elements, batches in _feed_sources(sources, grid, batch_size, threads):
-            counts.elements += elements
-            counts.dispatches += batches * len(active)
+        for source, estimators in zip(sources, grid):
+            for batch in source.batches(batch_size):
+                counts.elements += len(batch)
+                counts.dispatches += len(active)
+                for estimator in estimators:
+                    estimator.ingest_batch(batch)
         close_start = time.perf_counter()
         for primary, *others in zip(*grid):
             for other in others:
@@ -261,51 +250,6 @@ def _drive_local(
                 other.end_pass_adopting(answers)
         counts.merge_seconds += time.perf_counter() - close_start
         counts.passes += 1
-
-
-def _feed_sources(
-    sources: Sequence, grid: Sequence[Sequence[Any]], batch_size: int, threads: int
-) -> List[Tuple[int, int]]:
-    """One pass of every source into its replicas: ``(elements, batches)`` each.
-
-    The first feeder error re-raises in the caller, after every feeder
-    thread joined.
-    """
-
-    def feed(shard: int) -> Tuple[int, int]:
-        elements = batches = 0
-        for batch in sources[shard].batches(batch_size):
-            elements += len(batch)
-            batches += 1
-            for estimator in grid[shard]:
-                estimator.ingest_batch(batch)
-        return elements, batches
-
-    if threads <= 1 or len(sources) == 1:
-        return [feed(shard) for shard in range(len(sources))]
-    counts: List[Tuple[int, int]] = [(0, 0)] * len(sources)
-    errors: List[BaseException] = []
-
-    def feed_every(first: int) -> None:
-        try:
-            for shard in range(first, len(sources), threads):
-                counts[shard] = feed(shard)
-        except BaseException as error:  # noqa: BLE001 - re-raised below
-            errors.append(error)
-
-    feeders = [
-        threading.Thread(
-            target=feed_every, args=(index,), name=f"shard-feeder-{index}", daemon=True
-        )
-        for index in range(min(threads, len(sources)))
-    ]
-    for feeder in feeders:
-        feeder.start()
-    for feeder in feeders:
-        feeder.join()
-    if errors:
-        raise errors[0]
-    return counts
 
 
 class StreamEngine:
@@ -326,11 +270,11 @@ class StreamEngine:
         ``stream.passes_used`` afterwards reads the fused pass count.
     backend:
         :data:`EngineBackend.SERIAL` (default) runs everything in-process;
-        :data:`EngineBackend.THREAD` / :data:`EngineBackend.PROCESS`
-        shard the registered specs across a worker pool (see
+        :data:`EngineBackend.PROCESS` shards the registered specs across
+        a pool of worker processes (see
         :class:`EngineBackend` and :mod:`repro.engine.parallel`).
     workers:
-        Parallel-backend pool size; ``None`` means one worker per CPU,
+        Process-backend pool size; ``None`` means one worker per CPU,
         capped at the number of registered specs.  Ignored by the
         serial backend.
     start_method:
@@ -344,13 +288,13 @@ class StreamEngine:
         policy untouched.  Results are bit-identical across policies;
         only decode work and resident memory change.
     on_worker_loss:
-        Parallel backends only: ``"abort"`` (default) raises
+        Process backend only: ``"abort"`` (default) raises
         :class:`~repro.errors.WorkerLossError` when a worker dies
         silently or wedges; ``"degrade"`` finishes the run on the
         surviving workers and reports ``degraded=True`` with the lost
         estimator names (see :func:`~repro.engine.parallel.run_parallel_engine`).
     fault_plan:
-        A :class:`~repro.faults.FaultPlan` shipped to every parallel
+        A :class:`~repro.faults.FaultPlan` shipped to every pool
         worker — the deterministic drill harness.  ``None`` (default)
         disables injection.
     """
@@ -411,7 +355,7 @@ class StreamEngine:
         if self._backend != EngineBackend.SERIAL:
             raise EngineError(
                 "live estimators cannot be shipped to a worker pool; use "
-                "register_spec() with the thread/process backends"
+                "register_spec() with the process backend"
             )
         name = getattr(estimator, "name", None)
         if not name:
@@ -449,8 +393,8 @@ class StreamEngine:
         """Register an :class:`~repro.engine.parallel.EstimatorSpec`.
 
         Works with every backend: the serial backend builds the
-        estimator immediately against the real stream, the parallel
-        backends defer construction to the worker that receives the
+        estimator immediately against the real stream, the process
+        backend defers construction to the worker that receives the
         shard.  Returns the spec for chaining.
         """
         if self._backend == EngineBackend.SERIAL:
@@ -470,8 +414,8 @@ class StreamEngine:
 
         Serial backend: the in-process pass driver iterates the stream
         once per fused pass and feeds each decoded batch to every
-        estimator that is still consuming passes.  Thread/process
-        backends: :func:`repro.engine.parallel.run_parallel_engine`
+        estimator that is still consuming passes.  Process backend:
+        :func:`repro.engine.parallel.run_parallel_engine`
         runs the pool driver, publishing each batch to the workers.
         """
         if self._started or self._ran:

@@ -33,17 +33,15 @@ Orthogonally to the fusion mode, every entry point takes a
 ``backend="serial"`` (default)
     All copies execute in this process.
 
-``backend="thread"`` / ``backend="process"``
-    The copies are sharded across a pool of ``workers`` daemon threads
-    or processes (:mod:`repro.engine.parallel`); the driver reads the
-    stream once per pass and publishes decoded batches — by reference
-    to threads, through a shared-memory ring to processes.
-    Mirror-mode estimates are bit-identical to the serial backend for
-    the same seeds, independent of the worker count *and* of which
-    parallel backend ran them; shared-mode runs merge each *shard*
-    into one oracle (deterministic given ``(rng, workers)``, identical
-    between the two parallel backends for the same pool size).  CLI:
-    ``repro count --backend thread|process --workers N``.
+``backend="process"``
+    The copies are sharded across a pool of ``workers`` processes
+    (:mod:`repro.engine.parallel`); the driver reads the stream once
+    per pass and publishes decoded batches through a shared-memory
+    ring.  Mirror-mode estimates are bit-identical to the serial
+    backend for the same seeds, independent of the worker count;
+    shared-mode runs merge each *shard* into one oracle
+    (deterministic given ``(rng, workers)``).  CLI: ``repro count
+    --backend process --workers N``.
 
 Every backend runs the same spec list, one
 :class:`~repro.engine.parallel.EstimatorSpec` per group of copies, each
@@ -159,8 +157,8 @@ def _fgp_specs(
     worker count or shard count returns the one-shot estimates for the
     same ``copy_rngs``.  Shared mode merges all K copies into one group
     on the serial backend (spec ``"fused"``) and one contiguous group
-    per worker on the parallel backends (specs ``"shard-i"``), so its
-    estimates depend on ``(rng, workers)`` but not on the pool flavour.
+    per worker on the process backend (specs ``"shard-i"``), so its
+    estimates depend on ``(rng, workers)``.
     Serial shared seeds are derived oracle first, then the trials copy
     by copy; parallel seeds trials first, in global copy-major order,
     so only the group oracles vary with the pool size.  Every copy gets
@@ -351,15 +349,13 @@ def count_subgraphs_insertion_only_fused(
     makes copy i bit-identical to the one-shot counter called with the
     same rng.
 
-    ``backend="thread"`` / ``backend="process"`` shard the K copies
-    across *workers* threads or processes (CLI: ``repro count
-    --backend thread --workers N``).  With ``mode="mirror"`` the
-    estimates equal the serial backend's for the same seeds,
-    independently of the worker count and pool flavour; with
+    ``backend="process"`` shards the K copies across *workers*
+    processes (CLI: ``repro count --backend process --workers N``).
+    With ``mode="mirror"`` the estimates equal the serial backend's
+    for the same seeds, independently of the worker count; with
     ``mode="shared"`` each worker merges its shard of copies into one
-    oracle (fast, deterministic given ``(rng, workers)`` and identical
-    across the two parallel backends, but a different bit-stream than
-    the serial shared run).
+    oracle (fast and deterministic given ``(rng, workers)``, but a
+    different bit-stream than the serial shared run).
     """
     return count_fgp_fused(
         "insertion", stream, pattern, copies, epsilon, lower_bound, trials, rng,

@@ -41,16 +41,15 @@ journal, so a restored engine can still answer multi-pass queries.
 Execution backends
 ------------------
 ``backend="serial"`` runs the estimators in-process.
-``backend="thread"`` / ``backend="process"`` shard the registered
-specs across a persistent worker pool (the same worker protocol as
-:mod:`repro.engine.parallel`, extended with ``state_dict`` /
-``load_state`` commands): ``feed`` publishes each batch — by
-reference to threads, through the shared-memory batch ring to
-processes — ``snapshot`` gathers every shard's states driver-side,
-and a checkpoint taken under one backend restores under any other —
-the state dicts are backend-agnostic.  The checkpoint commands ride
-the same command queues as the batch references, so a snapshot always
-captures a consistent point of the feed whatever the transport.
+``backend="process"`` shards the registered specs across a persistent
+worker pool (the same worker protocol as :mod:`repro.engine.parallel`,
+extended with ``state_dict`` / ``load_state`` commands): ``feed``
+publishes each batch through the shared-memory batch ring,
+``snapshot`` gathers every shard's states driver-side, and a
+checkpoint taken under one backend restores under the other — the
+state dicts are backend-agnostic.  The checkpoint commands ride the
+same command queues as the batch references, so a snapshot always
+captures a consistent point of the feed.
 
 Registration goes through picklable
 :class:`~repro.engine.parallel.EstimatorSpec` recipes only (a snapshot
@@ -604,13 +603,13 @@ class LiveEngine:
         this size before reaching the estimators (results are invariant
         to it, as everywhere in the engine).
     backend:
-        ``"serial"`` (default), ``"thread"`` or ``"process"``
-        (persistent worker pool; see module docstring).
+        ``"serial"`` (default) or ``"process"`` (persistent worker
+        pool; see module docstring).
     workers, start_method:
-        Parallel-backend pool configuration, as in
+        Process-backend pool configuration, as in
         :class:`~repro.engine.core.StreamEngine`.
     on_worker_loss:
-        Parallel backends only.  ``"degrade"`` (default): a silently
+        Process backend only.  ``"degrade"`` (default): a silently
         dead or wedged worker is respawned and replayed from the
         journal (up to *respawn_budget* times); past the budget its
         shard is quarantined and the engine keeps serving the
@@ -833,7 +832,6 @@ class LiveEngine:
             self._started = True
             return
         self._pool = spec_pool(
-            self._backend,
             specs,
             handle,
             self._workers,
@@ -975,7 +973,7 @@ class LiveEngine:
         accepted, but it neither opens the live pass nor touches the
         journal — in particular, an empty *first* feed does not start
         the engine, so estimators may still be registered afterwards
-        (regression-pinned across all three backends in
+        (regression-pinned on both backends in
         ``tests/test_live_checkpoint.py``).
         """
         if self._closed:
@@ -1329,7 +1327,9 @@ class LiveEngine:
         stopped.  *backend*/*workers* override the checkpointed
         execution backend — the state dicts are backend-agnostic, so a
         serial checkpoint restores onto the process backend and vice
-        versa.
+        versa.  A checkpoint that names a backend this build does not
+        run is refused with :class:`~repro.errors.EngineError` unless
+        *backend* overrides it.
 
         If delta files accompany the base (``<path>.delta.NNNNN``),
         the longest valid consecutive chain is replayed through

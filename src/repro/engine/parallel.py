@@ -1,10 +1,10 @@
-"""The sharded parallel execution backends of the fused engine.
+"""The process execution backend of the fused engine.
 
 The fused engine (:mod:`repro.engine.core`) removed the O(K·m) stream
 traffic of median-of-K amplification, but all K estimator copies still
 execute on one core.  The copies are embarrassingly parallel — in
 ``mirror`` mode they share *nothing* but the stream bytes — so this
-module shards them across a pool of workers:
+module shards them across a pool of worker processes:
 
 * the **driver** (the parent process) owns the stream.  It iterates
   each fused pass exactly once, decodes updates into batches, and
@@ -23,40 +23,30 @@ One driver loop, :func:`_drive_pool`, runs every pass over a pool: it
 begins the pass on the workers, publishes each source's batches, and
 closes the pass either on the workers (copy groups: each worker ends
 its own estimators' pass — :func:`run_parallel_engine`, behind the
-parallel backends of ``StreamEngine``) or on the driver (one worker
-per shard: the driver merges the workers' mid-pass states and sends
-the global answers back — the process backend of
+process backend of ``StreamEngine``) or on the driver (one worker per
+shard: the driver merges the workers' mid-pass states and sends the
+global answers back — the process backend of
 :class:`~repro.engine.sharded.ShardedRunner`).  :func:`spec_pool`
 builds the copy-group pool that ``run_parallel_engine`` and the live
 engine share.
 
-Two pool flavours share that driver loop and one worker loop
-(:func:`_worker_main`):
-
-``backend="process"`` (:class:`_ProcessPool`)
-    Workers are daemon processes.  Columnar batches travel through a
-    **shared-memory batch ring**: the driver packs each batch's
-    columns into one of a fixed ring of
-    :mod:`multiprocessing.shared_memory` segments exactly once and
-    broadcasts only a tiny ``(segment, capacity, length, seq)``
-    reference, instead of pickling the columns onto every worker's
-    command queue.  Per-worker acknowledgment counters release ring
-    slots — a slot is rewritten only after every worker it was
-    published to has consumed it — and double as the transport's
-    refcount: segments are unlinked exactly once, in
-    :meth:`~_PoolBase.shutdown`, which runs on the graceful path and
-    on every error/terminate path alike (no leaked ``/dev/shm``
-    segments; ``tests/test_parallel.py`` scans).  Because publishing
-    only blocks when the ring wraps onto an unconsumed slot, the
-    driver decodes batch N+1 while workers chew on batch N — the ring
-    depth (bounded by the command-queue depth and a memory budget) is
-    the decode-ahead window.
-``backend="thread"`` (:class:`_ThreadPool`)
-    Workers are daemon threads running the *same* worker loop over
-    plain in-process queues.  Batches are handed over by reference —
-    zero serialization, zero copies — and the numpy kernels release
-    the GIL, so thread workers overlap on the columnar pipeline
-    without any of the process transport's machinery.
+The pool (:class:`_ProcessPool`) runs one worker loop
+(:func:`_worker_main`) in each of its daemon processes.  Columnar
+batches travel through a **shared-memory batch ring**: the driver
+packs each batch's columns into one of a fixed ring of
+:mod:`multiprocessing.shared_memory` segments exactly once and
+broadcasts only a tiny ``(segment, capacity, length, seq)`` reference,
+instead of pickling the columns onto every worker's command queue.
+Per-worker acknowledgment counters release ring slots — a slot is
+rewritten only after every worker it was published to has consumed it
+— and double as the transport's refcount: segments are unlinked
+exactly once, in :meth:`~_ProcessPool.shutdown`, which runs on the
+graceful path and on every error/terminate path alike (no leaked
+``/dev/shm`` segments; ``tests/test_parallel.py`` scans).  Because
+publishing only blocks when the ring wraps onto an unconsumed slot,
+the driver decodes batch N+1 while workers chew on batch N — the ring
+depth (bounded by the command-queue depth and a memory budget) is the
+decode-ahead window.
 
 Determinism
 -----------
@@ -64,10 +54,9 @@ A spec carries explicit seed material (ints or pickled
 ``random.Random`` states), never "whatever entropy the worker has", so
 a parallel run is a pure function of the seeds.  In ``mirror`` mode
 each copy's state is private, which makes the results independent of
-the worker count *and of the backend*: ``--workers 1``, ``2`` and
-``4``, threads or processes, return identical estimates, equal
-bit-for-bit to the serial backend (asserted in
-``tests/test_parallel.py`` and fuzzed three ways in
+the worker count: ``--workers 1``, ``2`` and ``4`` return identical
+estimates, equal bit-for-bit to the serial backend (asserted in
+``tests/test_parallel.py`` and fuzzed in
 ``tests/test_differential_fuzz.py``).
 
 Worker protocol
@@ -78,9 +67,11 @@ buffering the whole stream):
 
 ``("begin_pass", i)`` / ``("batch", updates)`` / ``("end_pass",)``
     One fused pass: updates are columnar
-    :class:`~repro.streams.batch.EdgeBatch` objects, in stream order.
+    :class:`~repro.streams.batch.EdgeBatch` objects, in stream order
+    (pickled onto the queue: batches larger than a ring slot, and the
+    live engine's journal replay).
 ``("shm_batch", name, capacity, length, seq)``
-    Process backend only: the batch's columns live in shared-memory
+    The batch's columns live in shared-memory
     segment *name* (packed by
     :func:`~repro.streams.batch.pack_columns`); the worker attaches,
     copies the columns out, and acknowledges *seq* so the driver may
@@ -134,7 +125,7 @@ from repro.engine.core import (
     check_engine_config,
 )
 from repro.errors import EngineError, WorkerLossError
-from repro.faults.plan import FaultPlan, WorkerKilled
+from repro.faults.plan import FaultPlan
 from repro.utils.retry import RetryPolicy, retry_call
 from repro.streams.batch import EdgeBatch, PACKED_ELEMENT_BYTES, pack_columns, unpack_columns
 from repro.streams.stream import EdgeStream
@@ -184,7 +175,7 @@ RING_MEMORY_BUDGET = 64 << 20
 #: error surfaces as a worker failure.
 SHM_ATTACH_RETRY = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.1)
 
-#: Retry schedule for launching a replacement worker process/thread —
+#: Retry schedule for launching a replacement worker process —
 #: a fork can lose a transient EAGAIN race under process pressure.
 RESPAWN_RETRY = RetryPolicy(attempts=3, base_delay=0.05, max_delay=1.0)
 
@@ -229,7 +220,7 @@ class StreamHandle:
 
     def updates(self):
         raise EngineError(
-            "StreamHandle cannot be iterated: in the parallel backends the "
+            "StreamHandle cannot be iterated: in the process backend the "
             "driver owns the stream and publishes decoded batches to workers"
         )
 
@@ -480,19 +471,17 @@ def _worker_main(
     handle: StreamHandle,
     commands,
     replies,
-    ack=None,
+    ack,
     fault_plan: Optional[FaultPlan] = None,
 ) -> None:
     """Worker loop: build the shard, consume commands, ship results.
 
-    Runs unchanged as a process target and as a thread target; *ack*
-    is the process backend's shared acknowledgment counter for the
-    shared-memory ring (``None`` on the thread backend, which hands
-    batches over by reference).  *fault_plan* is the drill harness's
-    seeded fault schedule (see :mod:`repro.faults`): the
-    ``"worker.batch"`` site fires once per delivered batch, *before*
-    the estimators ingest it and before any shm ack — an injected
-    SIGKILL therefore tears the run at the nastiest point, with a
+    *ack* is the worker's shared acknowledgment counter for the
+    shared-memory ring.  *fault_plan* is the drill harness's seeded
+    fault schedule (see :mod:`repro.faults`): the ``"worker.batch"``
+    site fires once per delivered batch, *before* the estimators
+    ingest it and before any shm ack — an injected SIGKILL therefore
+    tears the run at the nastiest point, with a
     published-but-unacknowledged ring slot in flight.
     """
     attachments = _SegmentAttachments(worker_id, fault_plan)
@@ -560,11 +549,6 @@ def _worker_main(
                 return
             else:  # pragma: no cover - driver never sends unknown commands
                 raise EngineError(f"unknown worker command {command!r}")
-    except WorkerKilled:
-        # Injected silent death (thread workers, where a real SIGKILL
-        # is impossible): exit WITHOUT an error reply, so the driver's
-        # silent-death probes — not the error path — must catch it.
-        return
     except BaseException:
         try:
             replies.put(("error", worker_id, traceback.format_exc()))
@@ -574,13 +558,8 @@ def _worker_main(
         attachments.close()
 
 
-class _PoolBase:
-    """Driver-side logic shared by the process and thread pools.
-
-    Subclasses fill in the transport (queues, worker objects,
-    terminability) and may override :meth:`publish_batch` — the base
-    implementation sends the batch object itself, which is the whole
-    story for threads.
+class _ProcessPool:
+    """Worker pool over daemon processes plus the shared-memory ring.
 
     Worker loss
     -----------
@@ -600,26 +579,61 @@ class _PoolBase:
     worker can always be recognized and dropped.
     """
 
-    #: What a member of the pool is called in error messages.
-    kind = "worker"
+    def __init__(
+        self,
+        context,
+        shards: Sequence[Sequence[EstimatorSpec]],
+        handle,
+        timeout: float,
+        batch_capacity: int = DEFAULT_BATCH_SIZE,
+        fault_plan: Optional[FaultPlan] = None,
+    ) -> None:
+        # Start the driver's resource tracker before any worker exists:
+        # workers inherit its fd (fork and spawn both), so their
+        # attach-side registrations land in the driver's tracker —
+        # collapsing with the driver's own — instead of each worker
+        # spinning up a private tracker that emits spurious
+        # leaked-segment warnings when the worker exits.
+        try:
+            from multiprocessing import resource_tracker
 
-    def __init__(self, timeout: float, handle, fault_plan: Optional[FaultPlan]) -> None:
+            resource_tracker.ensure_running()
+        except Exception:  # pragma: no cover - platforms without a tracker
+            pass
+        self._context = context
         self._timeout = timeout
         #: The stream metadata every worker builds its estimators against.
         self.handle = handle
         self._fault_plan = fault_plan
+        self._batch_capacity = int(batch_capacity)
+        self._ring: Optional[_SharedBatchRing] = None
+        self._next_seq = 0
+        #: Batches shipped through the ring (vs pickled fallbacks) —
+        #: a white-box diagnostic for tests and benchmarks.
+        self.shm_batches = 0
         # Legitimate replies pulled off the queue while probing for
         # failures mid-broadcast (a fast worker may answer an
         # ``end_pass``/``collect`` before the slowest worker received
         # it); gather() consumes these first.
         self._stashed: List[tuple] = []
-        self.replies: Any = None
+        self.replies = context.Queue()
         self.commands: List[Any] = []
+        self.acks: List[Any] = []
         self.processes: List[Any] = []
         self.shards: List[List[EstimatorSpec]] = []
         #: Recovery policy: ``loss_handler(worker_ids)`` or None (raise).
         self.loss_handler: Optional[Callable[[List[int]], None]] = None
         self._discarded: set = set()
+        # Partial startup (EAGAIN under process pressure, spawn
+        # pickling error) reaps whatever already launched instead of
+        # leaking workers blocked on ``commands.get()``.
+        try:
+            for shard in shards:
+                self._spawn(list(shard))
+        except BaseException:
+            for worker_id in range(len(self.processes)):
+                self._reap(worker_id)
+            raise
 
     @property
     def discarded(self) -> frozenset:
@@ -630,60 +644,50 @@ class _PoolBase:
         """Every worker id that has not been discarded."""
         return [w for w in range(len(self.processes)) if w not in self._discarded]
 
-    # -- transport hooks --------------------------------------------------
-
-    def _launch(self, worker_id: int, shard: List[EstimatorSpec]):
-        """Build and start one worker over *shard*; returns ``(queue, worker)``."""
-        raise NotImplementedError
+    # -- workers ----------------------------------------------------------
 
     def _spawn(self, shard: List[EstimatorSpec], retry: Optional[RetryPolicy] = None) -> int:
-        """Launch and register a worker over *shard*; returns its id."""
+        """Start and register a worker process over *shard*; returns its id."""
         worker_id = len(self.processes)
+
+        def launch():
+            queue = self._context.Queue(COMMAND_QUEUE_DEPTH)
+            # One shared int64 per worker: the highest ring seq the
+            # worker has consumed.  Locked access on purpose — a torn
+            # read could release a slot early and corrupt a batch.
+            ack = self._context.Value("q", -1)
+            process = self._context.Process(
+                target=_worker_main,
+                args=(
+                    worker_id, shard, self.handle, queue, self.replies, ack,
+                    self._fault_plan,
+                ),
+                daemon=True,
+            )
+            process.start()
+            return queue, ack, process
+
         if retry is None:
-            queue, worker = self._launch(worker_id, shard)
+            queue, ack, process = launch()
         else:
-            queue, worker = retry_call(
-                lambda: self._launch(worker_id, shard),
-                policy=retry,
-                seed=worker_id,
-                label=f"respawn {self.kind} {worker_id}",
+            queue, ack, process = retry_call(
+                launch, policy=retry, seed=worker_id, label=f"respawn worker {worker_id}"
             )
         self.commands.append(queue)
-        self.processes.append(worker)
+        self.acks.append(ack)
+        self.processes.append(process)
         self.shards.append(shard)
         return worker_id
-
-    def _start_workers(self, shards: Sequence[Sequence[EstimatorSpec]]) -> None:
-        """Launch one worker per shard, in order.
-
-        Partial startup (EAGAIN under process pressure, spawn pickling
-        error) reaps whatever already launched instead of leaking
-        workers blocked on ``commands.get()``.
-        """
-        try:
-            for shard in shards:
-                self._spawn(list(shard))
-        except BaseException:
-            for worker_id in range(len(self.processes)):
-                self._reap(worker_id)
-            raise
 
     def _alive(self, worker_id: int) -> bool:
         return self.processes[worker_id].is_alive()
 
-    def _terminate(self, worker_id: int) -> None:
-        raise NotImplementedError
-
-    def _join(self, worker_id: int, timeout: float) -> None:
-        self.processes[worker_id].join(timeout=timeout)
-
     def _reap(self, worker_id: int) -> None:
-        """Force a discarded worker down (kill + short join)."""
-        self._terminate(worker_id)
-        self._join(worker_id, 5.0)
-
-    def _close_transport(self) -> None:
-        """Release transport resources (queues, shared memory)."""
+        """Force a worker down (terminate if still alive, short join)."""
+        process = self.processes[worker_id]
+        if process.is_alive():
+            process.terminate()
+        process.join(timeout=5.0)
 
     # -- loss recovery -----------------------------------------------------
 
@@ -770,7 +774,7 @@ class _PoolBase:
                     self._recover(
                         WorkerLossError(
                             f"timed out after {self._timeout}s sending to "
-                            f"{self.kind} {worker_id} (command queue full; "
+                            f"worker {worker_id} (command queue full; "
                             "worker wedged)",
                             worker_ids=[worker_id],
                         )
@@ -798,7 +802,7 @@ class _PoolBase:
             if reply[1] in self._discarded:
                 continue
             if reply[0] == "error":
-                raise EngineError(f"{self.kind} {reply[1]} failed:\n{reply[2]}")
+                raise EngineError(f"worker {reply[1]} failed:\n{reply[2]}")
             self._stashed.append(reply)
         dead = [w for w in self.live_ids() if not self._alive(w)]
         if dead:
@@ -812,11 +816,11 @@ class _PoolBase:
                     continue
                 if reply[0] == "error":
                     raise EngineError(
-                        f"{self.kind} {reply[1]} failed:\n{reply[2]}"
+                        f"worker {reply[1]} failed:\n{reply[2]}"
                     )
                 self._stashed.append(reply)
             raise WorkerLossError(
-                f"{self.kind}(s) {dead} died without reporting an error "
+                f"worker(s) {dead} died without reporting an error "
                 "(command queue stalled)",
                 worker_ids=dead,
             )
@@ -831,17 +835,6 @@ class _PoolBase:
         """
         for worker_id in list(worker_ids):
             self.send(worker_id, message)
-
-    def publish_batch(self, worker_ids, batch) -> None:
-        """Deliver one decoded batch to every listed worker.
-
-        The base implementation enqueues the batch object itself: for
-        threads that is a by-reference handoff (workers share the
-        driver's arrays and lazily-built views — reads only, per the
-        batch contract), with zero serialization.  The process pool
-        overrides this with the shared-memory ring.
-        """
-        self.broadcast(worker_ids, ("batch", batch))
 
     # -- gathering --------------------------------------------------------
 
@@ -881,7 +874,7 @@ class _PoolBase:
                         if dead:
                             self._recover(
                                 WorkerLossError(
-                                    f"{self.kind}(s) {dead} died without "
+                                    f"worker(s) {dead} died without "
                                     "reporting an error while the driver "
                                     f"awaited {kind!r}",
                                     worker_ids=dead,
@@ -891,7 +884,7 @@ class _PoolBase:
                             self._recover(
                                 WorkerLossError(
                                     f"timed out after {self._timeout}s waiting "
-                                    f"for {self.kind} reply {kind!r} from "
+                                    f"for worker reply {kind!r} from "
                                     f"{sorted(outstanding)}",
                                     worker_ids=sorted(outstanding),
                                 )
@@ -905,14 +898,14 @@ class _PoolBase:
                     continue  # stale reply from a written-off worker
                 if reply[0] == "error":
                     raise EngineError(
-                        f"{self.kind} {reply[1]} failed:\n{reply[2]}"
+                        f"worker {reply[1]} failed:\n{reply[2]}"
                     )
                 if reply[0] != kind or reply[1] not in outstanding:
                     if self.loss_handler is None:
                         raise EngineError(
                             f"protocol violation: expected {kind!r} from "
                             f"{sorted(outstanding)}, got {reply[0]!r} from "
-                            f"{self.kind} {reply[1]}"
+                            f"worker {reply[1]}"
                         )
                     # Recovery can interleave exchanges (a respawn's
                     # "ready" gather may pull a survivor's "state"
@@ -953,101 +946,27 @@ class _PoolBase:
     def shutdown(self, graceful: bool) -> None:
         """Stop every worker and release the transport; never hangs.
 
-        Graceful: offer each worker a bounded ``stop``, terminating any
-        worker that cannot take it (wedged queue).  Failure path: the
-        error is already known and the workers are stateless daemons
-        (likely blocked on ``commands.get()``), so kill first, reap
-        after.  Both paths release the transport — including the
-        shared-memory ring — in a ``finally``.
+        Graceful: offer each worker a bounded ``stop`` and give it time
+        to exit; a worker that cannot take the stop (wedged queue) or
+        does not exit is terminated.  Failure path: the error is
+        already known and the workers are stateless daemons (likely
+        blocked on ``commands.get()``), so they are terminated
+        straight away.  Both paths release the queues and the
+        shared-memory ring in a ``finally``.
         """
         try:
             live = self.live_ids()
-            if graceful:
-                stopped = {w: self._send_stop(w) for w in live}
-                for worker_id in live:
-                    if not stopped[worker_id]:
-                        self._terminate(worker_id)
-                for worker_id in live:
-                    self._join(worker_id, 30.0 if stopped[worker_id] else 5.0)
-            else:
-                for worker_id in live:
-                    if self._alive(worker_id):
-                        self._terminate(worker_id)
+            stopped = {w: graceful and self._send_stop(w) for w in live}
             for worker_id in live:
-                if self._alive(worker_id):
-                    self._terminate(worker_id)
-                self._join(worker_id, 5.0)
+                if stopped[worker_id]:
+                    self.processes[worker_id].join(timeout=30.0)
+                self._reap(worker_id)
         finally:
-            self._close_transport()
-
-
-class _ProcessPool(_PoolBase):
-    """Worker pool over daemon processes plus the shared-memory ring."""
-
-    def __init__(
-        self,
-        context,
-        shards: Sequence[Sequence[EstimatorSpec]],
-        handle,
-        timeout: float,
-        batch_capacity: int = DEFAULT_BATCH_SIZE,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        super().__init__(timeout, handle, fault_plan)
-        # Start the driver's resource tracker before any worker exists:
-        # workers inherit its fd (fork and spawn both), so their
-        # attach-side registrations land in the driver's tracker —
-        # collapsing with the driver's own — instead of each worker
-        # spinning up a private tracker that emits spurious
-        # leaked-segment warnings when the worker exits.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - platforms without a tracker
-            pass
-        self._batch_capacity = int(batch_capacity)
-        self._context = context
-        self._ring: Optional[_SharedBatchRing] = None
-        self._next_seq = 0
-        #: Batches shipped through the ring (vs pickled fallbacks) —
-        #: a white-box diagnostic for tests and benchmarks.
-        self.shm_batches = 0
-        self.acks: List[Any] = []
-        self.replies = context.Queue()
-        self._start_workers(shards)
-
-    # -- transport hooks --------------------------------------------------
-
-    def _launch(self, worker_id: int, shard: List[EstimatorSpec]):
-        queue = self._context.Queue(COMMAND_QUEUE_DEPTH)
-        # One shared int64 per worker: the highest ring seq the worker
-        # has consumed.  Locked access on purpose — a torn read could
-        # release a slot early and corrupt a batch.
-        ack = self._context.Value("q", -1)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(
-                worker_id, shard, self.handle, queue, self.replies, ack,
-                self._fault_plan,
-            ),
-            daemon=True,
-        )
-        process.start()
-        self.acks.append(ack)
-        return queue, process
-
-    def _terminate(self, worker_id: int) -> None:
-        process = self.processes[worker_id]
-        if process.is_alive():
-            process.terminate()
-
-    def _close_transport(self) -> None:
-        if self._ring is not None:
-            self._ring.release()
-            self._ring = None
-        for queue in self.commands + [self.replies]:
-            queue.close()
+            if self._ring is not None:
+                self._ring.release()
+                self._ring = None
+            for queue in self.commands + [self.replies]:
+                queue.close()
 
     # -- shared-memory publication ----------------------------------------
 
@@ -1143,67 +1062,6 @@ class _ProcessPool(_PoolBase):
         )
 
 
-class _ThreadPool(_PoolBase):
-    """Worker pool over daemon threads — same loop, in-process queues.
-
-    Batches are handed to workers by reference (see
-    :meth:`_PoolBase.publish_batch`); the columnar kernels release the
-    GIL, so the threads overlap on real work.  Threads cannot be
-    terminated: a wedged worker is abandoned as a daemon (it dies with
-    the process), which keeps shutdown bounded without the process
-    pool's kill escalation.
-    """
-
-    kind = "thread worker"
-
-    def __init__(
-        self,
-        shards: Sequence[Sequence[EstimatorSpec]],
-        handle,
-        timeout: float,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        super().__init__(timeout, handle, fault_plan)
-        import queue as queue_module
-
-        self.replies = queue_module.Queue()
-        self._start_workers(shards)
-
-    def _launch(self, worker_id: int, shard: List[EstimatorSpec]):
-        import queue as queue_module
-        import threading
-
-        queue = queue_module.Queue(COMMAND_QUEUE_DEPTH)
-        thread = threading.Thread(
-            target=_worker_main,
-            args=(worker_id, shard, self.handle, queue, self.replies, None,
-                  self._fault_plan),
-            daemon=True,
-            name=f"repro-worker-{worker_id}",
-        )
-        thread.start()
-        return queue, thread
-
-    def _terminate(self, worker_id: int) -> None:
-        """Threads cannot be killed; daemon threads die with the process."""
-
-    def _reap(self, worker_id: int) -> None:
-        """A wedged daemon thread is abandoned, not joined.
-
-        Joining would block the driver on the very thread it wrote off
-        — a wedged thread may sleep for hours.  Its command queue stays
-        allocated but unread; discarded ids never receive new sends.
-        """
-
-    def shutdown(self, graceful: bool) -> None:
-        live = self.live_ids()
-        if graceful:
-            for worker_id in live:
-                self._send_stop(worker_id)
-        for worker_id in live:
-            self.processes[worker_id].join(timeout=5.0)
-
-
 def _make_context(start_method: Optional[str]):
     import multiprocessing
     import sys
@@ -1218,34 +1076,29 @@ def _make_context(start_method: Optional[str]):
 
 
 def make_worker_pool(
-    backend: str,
     shards: Sequence[Sequence[EstimatorSpec]],
     handle,
     timeout: float,
     start_method: Optional[str] = None,
     batch_capacity: int = DEFAULT_BATCH_SIZE,
     fault_plan: Optional[FaultPlan] = None,
-):
-    """Build the worker pool for a parallel backend (thread or process).
+) -> _ProcessPool:
+    """Start a worker process per shard of specs.
 
-    *batch_capacity* sizes the process pool's shared-memory ring slots;
-    pass the driver's batch size so every columnar batch fits (larger
-    batches still work — they fall back to the pickled queue path).
+    *batch_capacity* sizes the shared-memory ring slots; pass the
+    driver's batch size so every columnar batch fits (larger batches
+    still work — they fall back to the pickled queue path).
     *fault_plan* ships a :class:`~repro.faults.FaultPlan` to every
     worker so drills can kill/wedge them at chosen batches.
     """
-    if backend == EngineBackend.THREAD:
-        return _ThreadPool(shards, handle, timeout, fault_plan=fault_plan)
-    if backend == EngineBackend.PROCESS:
-        return _ProcessPool(
-            _make_context(start_method),
-            shards,
-            handle,
-            timeout,
-            batch_capacity,
-            fault_plan=fault_plan,
-        )
-    raise EngineError(f"no worker pool for backend {backend!r}")
+    return _ProcessPool(
+        _make_context(start_method),
+        shards,
+        handle,
+        timeout,
+        batch_capacity,
+        fault_plan=fault_plan,
+    )
 
 
 def run_parallel_engine(
@@ -1265,18 +1118,17 @@ def run_parallel_engine(
     """Drive *specs* to completion across a worker pool.
 
     The parallel counterpart of :meth:`StreamEngine.run` — normally
-    reached through ``StreamEngine(..., backend="process")`` or
-    ``backend="thread"`` rather than called directly.  Specs are
+    reached through ``StreamEngine(..., backend="process")`` rather
+    than called directly.  Specs are
     sharded contiguously across ``resolve_workers(workers, len(specs))``
     workers; the returned report's ``dispatches`` counts batch
     *publications* (batches × active workers) and ``workers`` records
     the pool size.
 
-    The process backend publishes each
-    :class:`~repro.streams.batch.EdgeBatch` through the shared-memory
-    ring — the columns are written once, each worker gets a slot
-    reference — and the thread backend hands the batch object over
-    directly; workers rebuild the decoded views lazily on their side.
+    Each :class:`~repro.streams.batch.EdgeBatch` is published through
+    the shared-memory ring — the columns are written once, each worker
+    gets a slot reference; workers rebuild the decoded views lazily on
+    their side.
 
     *cache* applies a batch-cache policy to the **driver's** stream
     (see :mod:`repro.streams.cache`): the driver is the only
@@ -1293,10 +1145,10 @@ def run_parallel_engine(
     lost estimator names in ``lost``, and each surviving estimate is
     bit-identical to a run configured without the lost copies.
     """
-    if backend not in (EngineBackend.PROCESS, EngineBackend.THREAD):
+    if backend != EngineBackend.PROCESS:
         raise EngineError(
-            f"run_parallel_engine drives the parallel backends "
-            f"{(EngineBackend.THREAD, EngineBackend.PROCESS)}, got {backend!r}"
+            f"run_parallel_engine drives the {EngineBackend.PROCESS!r} backend, "
+            f"got {backend!r}"
         )
     batch_size = check_engine_config(batch_size, backend, max_passes, on_worker_loss)
     if not specs:
@@ -1309,7 +1161,6 @@ def run_parallel_engine(
     if reset_pass_count:
         stream.reset_pass_count()
     pool = spec_pool(
-        backend,
         specs,
         StreamHandle.of(stream),
         workers,
@@ -1343,7 +1194,6 @@ def run_parallel_engine(
 
 
 def spec_pool(
-    backend: str,
     specs: Sequence[EstimatorSpec],
     handle,
     workers: Optional[int],
@@ -1363,7 +1213,6 @@ def spec_pool(
         for indices in shard_indices(len(specs), size)
     ]
     return make_worker_pool(
-        backend,
         groups,
         handle,
         timeout,
@@ -1374,7 +1223,7 @@ def spec_pool(
 
 
 def _drive_pool(
-    pool: _PoolBase,
+    pool: _ProcessPool,
     sources: Sequence,
     batch_size: int,
     max_passes: int,
@@ -1459,7 +1308,7 @@ def _drive_pool(
     return results, counts
 
 
-def _merge_shard_states(pool: _PoolBase, primaries, active, workers) -> None:
+def _merge_shard_states(pool: _ProcessPool, primaries, active, workers) -> None:
     """Close a sharded pass on the driver: merge, end, send the answers back."""
     pool.broadcast(workers, ("state_dict",))
     states = pool.gather("state", workers)

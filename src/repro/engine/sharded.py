@@ -1,6 +1,6 @@
 """Scatter/merge execution: one stream, split across shard engines.
 
-The parallel backends in :mod:`repro.engine.parallel` replicate K
+The process backend in :mod:`repro.engine.parallel` replicates K
 estimator copies over a *single* stream — every byte still funnels
 through one reader.  This module splits the **stream** instead: each
 shard (a hash-partition of the update sequence, see
@@ -32,17 +32,15 @@ silently wrong estimate.
 
 Backends
 --------
-``backend="serial"`` and ``backend="thread"`` run the engine's
-in-process pass driver (:mod:`repro.engine.core`) over a grid of
-replicas, ``replicas[s][k]`` fed by shard ``s``: serially, or with
-thread ``t`` feeding shards ``t, t+T, ...`` concurrently (the numpy
-kernels release the GIL); the replicas merge by reference.
+``backend="serial"`` runs the engine's in-process pass driver
+(:mod:`repro.engine.core`) over a grid of replicas, ``replicas[s][k]``
+fed by shard ``s`` in turn; the replicas merge by reference.
 ``backend="process"`` runs the pool driver of
 :mod:`repro.engine.parallel` — one worker process per shard, batches
 published through the shared-memory ring, mid-pass states gathered
 with the ``state_dict`` worker command, merged driver-side, and the
-global answers broadcast back with ``adopt_answers``.  All three
-produce bit-identical results for the same seeds; the process backend
+global answers broadcast back with ``adopt_answers``.  Both produce
+bit-identical results for the same seeds; the process backend
 additionally pays a per-pass replica rebuild (O(shards x trials)
 generator construction) to move sketch state across the process
 boundary.
@@ -84,7 +82,6 @@ from repro.engine.parallel import (
     StreamHandle,
     _drive_pool,
     make_worker_pool,
-    resolve_workers,
 )
 from repro.errors import EngineError, MergeError
 from repro.estimate.concentration import ParamMode
@@ -149,7 +146,6 @@ class ShardedRunner:
         shards: Sequence,
         batch_size: int = DEFAULT_BATCH_SIZE,
         backend: str = EngineBackend.SERIAL,
-        workers: Optional[int] = None,
         start_method: Optional[str] = None,
         cache=None,
         max_passes: int = 0,
@@ -161,7 +157,6 @@ class ShardedRunner:
         self._handle = sharded_stream_handle(self._shards)
         self._batch_size = batch_size
         self._backend = backend
-        self._workers = workers
         self._start_method = start_method
         self._cache = cache
         self._max_passes = max_passes
@@ -194,7 +189,7 @@ class ShardedRunner:
     def run(self) -> EngineReport:
         """Drive all specs to completion; results come from shard 0's replicas.
 
-        Serial and thread backends run the in-process pass driver over
+        The serial backend runs the in-process pass driver over
         ``replicas[s][k]`` (shard ``s``, spec ``k``); the process
         backend runs the pool driver with one worker per shard and a
         driver-side replica set that merges the workers' states.
@@ -209,7 +204,6 @@ class ShardedRunner:
         if self._backend == EngineBackend.PROCESS:
             primaries = _mergeable([spec.build(self._handle) for spec in self._specs])
             pool = make_worker_pool(
-                EngineBackend.PROCESS,
                 [list(self._specs) for _ in range(count)],
                 self._handle,
                 self._reply_timeout,
@@ -219,20 +213,12 @@ class ShardedRunner:
             results, counts = _drive_pool(
                 pool, self._shards, self._batch_size, self._max_passes, primaries
             )
-            workers = count
         else:
             replicas = [
                 _mergeable([spec.build(self._handle) for spec in self._specs])
                 for _ in range(count)
             ]
-            workers = (
-                resolve_workers(self._workers, count)
-                if self._backend == EngineBackend.THREAD
-                else 1
-            )
-            counts = _drive_local(
-                self._shards, replicas, self._batch_size, self._max_passes, workers
-            )
+            counts = _drive_local(self._shards, replicas, self._batch_size, self._max_passes)
             results = {primary.name: primary.result() for primary in replicas[0]}
         return EngineReport(
             results=results,
@@ -240,7 +226,7 @@ class ShardedRunner:
             elements=counts.elements,
             dispatches=counts.dispatches,
             batch_size=self._batch_size,
-            workers=workers,
+            workers=count if self._backend == EngineBackend.PROCESS else 1,
             merge_seconds=counts.merge_seconds,
         )
 
@@ -276,7 +262,6 @@ def count_subgraphs_turnstile_sharded(
     sampler_repetitions: int = 8,
     batch_size: int = DEFAULT_BATCH_SIZE,
     backend: str = EngineBackend.SERIAL,
-    workers: Optional[int] = None,
     start_method: Optional[str] = None,
     cache=None,
     max_passes: int = 0,
@@ -289,7 +274,8 @@ def count_subgraphs_turnstile_sharded(
     derived identically (``derive_seed(master, "copy-i")`` after one
     ``resolve_trials`` against the *union* metadata), so for the same
     ``rng`` the result is **bit-identical** to the unsharded mirror run
-    — for any shard count, cut points, or backend.  Only turnstile
+    — for any shard count, cut points, or backend.  The process
+    backend runs one worker per shard.  Only turnstile
     estimators run here; insertion-only paths raise
     :class:`~repro.errors.MergeError` at the first merge barrier.
     """
@@ -299,7 +285,6 @@ def count_subgraphs_turnstile_sharded(
             shards,
             batch_size=batch_size,
             backend=backend,
-            workers=workers,
             start_method=start_method,
             cache=cache,
             max_passes=max_passes,
@@ -321,7 +306,7 @@ def count_subgraphs_turnstile_sharded(
         param_mode,
         FusionMode.MIRROR,
         backend,
-        workers,
+        None,
         sampler_repetitions,
     )
     result.details["shards"] = float(len(shards))

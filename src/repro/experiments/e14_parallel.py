@@ -1,9 +1,9 @@
-"""E14: the sharded parallel backends vs the serial fused engine.
+"""E14: the process backend vs the serial fused engine.
 
 Runs the same median-of-K mirror-mode fused count (Theorem 17, K
-copies in 3 passes) on each execution backend — serial, daemon
-threads, worker processes fed through the shared-memory batch ring —
-and records estimate equality plus wall-clock time.  Mirror mode's
+copies in 3 passes) on each execution backend — serial, and worker
+processes fed through the shared-memory batch ring — and records
+estimate equality plus wall-clock time.  Mirror mode's
 per-copy state is private, so every backend/worker-count row must
 report the *same* estimate for the same seed — the table makes that
 contract visible — while timings show what sharding buys on the
@@ -37,7 +37,7 @@ def run(fast: bool = True, seed: int = 2022, workers: Optional[int] = None) -> T
     graph = gen.power_law_cluster(n, 5, 0.8, seed)
     pattern = zoo.triangle()
     table = Table(
-        f"E14: serial vs thread vs process backends (mirror, K={copies}, "
+        f"E14: serial vs process backend (mirror, K={copies}, "
         f"trials/copy={trials}, m={graph.m})",
         ["backend", "workers", "estimate", "passes", "seconds", "== serial"],
     )
@@ -59,15 +59,14 @@ def run(fast: bool = True, seed: int = 2022, workers: Optional[int] = None) -> T
 
     serial, serial_seconds = fused_count("serial", None)
     table.add_row("serial", 1, serial.estimate, serial.passes, serial_seconds, True)
-    for backend in ("thread", "process"):
-        for pool in dict.fromkeys(worker_counts):
-            result, seconds = fused_count(backend, pool)
-            table.add_row(
-                backend,
-                pool,
-                result.estimate,
-                result.passes,
-                seconds,
-                result.estimates == serial.estimates,
-            )
+    for pool in dict.fromkeys(worker_counts):
+        result, seconds = fused_count("process", pool)
+        table.add_row(
+            "process",
+            pool,
+            result.estimate,
+            result.passes,
+            seconds,
+            result.estimates == serial.estimates,
+        )
     return table

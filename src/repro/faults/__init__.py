@@ -34,7 +34,6 @@ from repro.faults.plan import (
     ACTIONS,
     FaultPlan,
     FaultRule,
-    WorkerKilled,
     activate,
     active_plan,
     fire,
@@ -44,7 +43,6 @@ __all__ = [
     "ACTIONS",
     "FaultPlan",
     "FaultRule",
-    "WorkerKilled",
     "activate",
     "active_plan",
     "fire",

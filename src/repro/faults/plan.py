@@ -23,10 +23,9 @@ Fault sites wired into the library
 ----------------------------------
 ``"worker.batch"``
     Fired by the pool worker loop once per ingested batch (before the
-    estimators see it).  Supports ``action="kill"`` (process workers:
-    real ``SIGKILL``; thread workers: the loop exits silently, which
-    is the closest a thread can come to dying without a traceback)
-    and ``action="wedge"`` (sleep ``wedge_seconds`` mid-batch).
+    estimators see it).  Supports ``action="kill"`` (a real
+    ``SIGKILL`` of the worker process) and ``action="wedge"`` (sleep
+    ``wedge_seconds`` mid-batch).
 ``"disk.write"``
     Fired per checkpoint/``.reb`` write call.  ``action="io_error"``
     raises a transient ``OSError(EIO)`` — exactly what the retry
@@ -56,7 +55,6 @@ from repro.errors import FaultInjected
 __all__ = [
     "FaultRule",
     "FaultPlan",
-    "WorkerKilled",
     "activate",
     "active_plan",
     "fire",
@@ -64,17 +62,6 @@ __all__ = [
 
 #: Actions a rule may take when it triggers.
 ACTIONS = ("kill", "wedge", "io_error", "raise")
-
-
-class WorkerKilled(BaseException):
-    """Silent-death signal for thread workers under an injected kill.
-
-    Derives from ``BaseException`` so the worker loop's error reporter
-    does not catch it: the thread unwinds without posting an
-    ``("error", ...)`` reply, exactly like a process that took a
-    ``SIGKILL`` — which is what the driver's silent-death probes must
-    detect.
-    """
 
 
 @dataclass(frozen=True)
@@ -187,10 +174,8 @@ class FaultPlan:
 
         Triggered actions: ``io_error`` raises ``OSError(EIO)``;
         ``raise`` raises :class:`~repro.errors.FaultInjected`;
-        ``kill`` SIGKILLs the current process (or raises
-        :class:`WorkerKilled` in a thread worker, identified by
-        ``worker.thread`` site suffixing — see :func:`fire`);
-        ``wedge`` sleeps ``wedge_seconds``.
+        ``kill`` SIGKILLs the current process; ``wedge`` sleeps
+        ``wedge_seconds``.
         """
         for index, rule in enumerate(self.rules):
             if rule.site != site:
@@ -216,18 +201,7 @@ class FaultPlan:
                 time.sleep(rule.wedge_seconds)
                 continue
             if rule.action == "kill":
-                if worker is not None and site.startswith("worker") and _in_thread():
-                    raise WorkerKilled(
-                        f"injected thread-worker death at {site!r} call #{calls}"
-                    )
                 os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _in_thread() -> bool:
-    """Whether the caller runs on a non-main thread (a thread worker)."""
-    import threading
-
-    return threading.current_thread() is not threading.main_thread()
 
 
 #: The driver-side active plan (None: injection disabled, the

@@ -51,7 +51,7 @@ SCENARIO_KINDS: Tuple[str, ...] = (
 )
 
 #: Execution backends a sweep may drive cells through.
-BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
+BACKENDS: Tuple[str, ...] = ("serial", "process")
 
 
 def _require(condition: bool, message: str) -> None:

@@ -83,7 +83,7 @@ class TestCliCommands:
 
     def test_count_parallel(self, karate_path, capsys):
         code = main(
-            ["count", karate_path, "triangle", "--parallel", "--workers", "2",
+            ["count", karate_path, "triangle", "--backend", "process", "--workers", "2",
              "--copies", "3", "--trials", "400", "--seed", "3", "--truth"]
         )
         assert code == 0
@@ -94,24 +94,12 @@ class TestCliCommands:
         assert "passes=3" in output
         assert "exact=#45" in output
 
-    def test_count_backend_thread(self, karate_path, capsys):
-        code = main(
-            ["count", karate_path, "triangle", "--backend", "thread",
-             "--workers", "2", "--copies", "3", "--trials", "400",
-             "--seed", "3", "--truth"]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "backend=thread" in output
-        assert "exact=#45" in output
-
     def test_count_parallel_matches_serial_copies(self, karate_path, capsys):
         # Mirror mode: the backend must not change the estimate.
         assert main(["count", karate_path, "triangle", "--copies", "3",
                      "--trials", "400", "--seed", "3"]) == 0
         serial = capsys.readouterr().out
-        for flags in (["--parallel", "--workers", "2"],
-                      ["--backend", "thread", "--workers", "2"],
+        for flags in (["--backend", "process", "--workers", "2"],
                       ["--backend", "process"]):
             assert main(["count", karate_path, "triangle", "--copies", "3",
                          "--trials", "400", "--seed", "3", *flags]) == 0
@@ -139,7 +127,8 @@ class TestCliCommands:
         assert "--batch-size must be >= 1" in capsys.readouterr().err
 
     def test_count_parallel_rejects_adaptive(self, karate_path, capsys):
-        code = main(["count", karate_path, "triangle", "--adaptive", "--parallel"])
+        code = main(["count", karate_path, "triangle", "--adaptive",
+                     "--backend", "process"])
         assert code == 2
         assert "--adaptive" in capsys.readouterr().err
 
@@ -149,17 +138,31 @@ class TestCliCommands:
         assert "--mode" in capsys.readouterr().err
         assert main(["count", karate_path, "triangle", "--workers", "2"]) == 2
         assert "--workers" in capsys.readouterr().err
-        assert main(["count", karate_path, "triangle", "--parallel",
+        assert main(["count", karate_path, "triangle", "--backend", "process",
                      "--workers", "0"]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
     def test_count_rejects_contradictory_backend_flags(self, karate_path, capsys):
-        assert main(["count", karate_path, "triangle", "--parallel",
-                     "--backend", "serial"]) == 2
-        assert "--parallel" in capsys.readouterr().err
         assert main(["count", karate_path, "triangle", "--backend", "serial",
                      "--workers", "2"]) == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_count_rejects_removed_backend_flags(self, karate_path, capsys):
+        for flags in (["--parallel"], ["--backend", "thread"]):
+            with pytest.raises(SystemExit) as info:
+                main(["count", karate_path, "triangle", *flags])
+            assert info.value.code == 2
+            assert flags[0] in capsys.readouterr().err
+
+    def test_count_rejects_workers_with_shards(self, karate_path, capsys):
+        # A sharded process run starts one worker per shard, so a
+        # --workers value would be accepted and then ignored.
+        for backend in ("serial", "process"):
+            assert main(["count", karate_path, "triangle", "--algorithm",
+                         "turnstile", "--shards", "2", "--backend", backend,
+                         "--workers", "3"]) == 2
+            err = capsys.readouterr().err
+            assert "--workers" in err and "--shards" in err
 
     def test_experiments_rejects_workers_without_parallel(self, capsys):
         assert main(["experiments", "--only", "e10", "--workers", "2"]) == 2

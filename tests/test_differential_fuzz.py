@@ -9,7 +9,7 @@ execution paths that the engine guarantees are **bit-identical**:
 * arbitrary batch-size splits and cache policies,
 * fed-live (:class:`repro.engine.live.LiveEngine`) vs one-shot fused,
 * snapshot → restore → continue vs uninterrupted,
-* serial vs thread vs process backends,
+* serial vs process backends,
 * sharded scatter/merge ingestion (random shard counts and random
   by-edge partitions, shard files with vertex ids past 2^32) vs the
   unsharded mirror run,
@@ -267,9 +267,9 @@ def test_snapshot_restore_vs_uninterrupted(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", range(CASES_PROCESS))
-def test_serial_vs_thread_vs_process_backend(case):
-    # Three-way: mirror-mode estimates are a pure function of the
-    # seeds, whatever pool flavour (or worker count) ran the copies.
+def test_serial_vs_process_backend(case):
+    # Mirror-mode estimates are a pure function of the seeds, whatever
+    # worker count ran the copies.
     rng = case_rng(case, "process")
     stream = random_stream(rng, turnstile=False)
     pattern = zoo.triangle()
@@ -278,16 +278,15 @@ def test_serial_vs_thread_vs_process_backend(case):
         stream, pattern, copies=3, trials=6,
         mode=FusionMode.MIRROR, copy_rngs=list(seeds),
     )
-    for backend in ("thread", "process"):
-        parallel = count_subgraphs_insertion_only_fused(
-            stream, pattern, copies=3, trials=6,
-            mode=FusionMode.MIRROR, copy_rngs=list(seeds),
-            backend=backend, workers=1 + case % 3,
-        )
-        assert parallel.estimates == serial.estimates, (
-            f"serial/{backend} divergence (case={case}, base_seed={BASE_SEED}, "
-            f"workers={1 + case % 3})"
-        )
+    parallel = count_subgraphs_insertion_only_fused(
+        stream, pattern, copies=3, trials=6,
+        mode=FusionMode.MIRROR, copy_rngs=list(seeds),
+        backend="process", workers=1 + case % 3,
+    )
+    assert parallel.estimates == serial.estimates, (
+        f"serial/process divergence (case={case}, base_seed={BASE_SEED}, "
+        f"workers={1 + case % 3})"
+    )
 
 
 @pytest.mark.parametrize("case", range(CASES_VALIDATION))
@@ -358,7 +357,7 @@ def random_world_cell(rng: random.Random):
 def test_worlds_sampled_cell_is_backend_invariant(case, tmp_path):
     # A random grid cell, materialized out-of-core twice (the .reb
     # bytes must replay bit for bit), then driven through a random
-    # estimator on serial vs thread backends: mirror-mode estimates
+    # estimator on serial vs process backends: mirror-mode estimates
     # are a pure function of the seeds, whatever executed them.
     from repro.streams.datasets import DiskEdgeStream
     from repro.worlds import materialize_workload
@@ -384,13 +383,13 @@ def test_worlds_sampled_cell_is_backend_invariant(case, tmp_path):
         copies=2, trials=5, mode=FusionMode.MIRROR, copy_rngs=list(seeds),
         batch_size=rng.randrange(1, 64),
     )
-    threaded = _fused(
+    pooled = _fused(
         stream, pattern, rng, turnstile,
         copies=2, trials=5, mode=FusionMode.MIRROR, copy_rngs=list(seeds),
-        batch_size=rng.randrange(1, 64), backend="thread", workers=2,
+        batch_size=rng.randrange(1, 64), backend="process", workers=2,
     )
-    assert threaded.estimates == serial.estimates, (
-        f"serial/thread divergence on worlds cell (case={case}, "
+    assert pooled.estimates == serial.estimates, (
+        f"serial/process divergence on worlds cell (case={case}, "
         f"base_seed={BASE_SEED}, family={family.label}, "
         f"scenario={scenario.label}, turnstile={turnstile})"
     )
@@ -485,8 +484,6 @@ def test_sharded_scatter_merge_vs_unsharded(case):
     sharded = count_subgraphs_turnstile_sharded(
         shard_streams, pattern, copies=2, trials=6,
         copy_rngs=list(seeds),
-        backend=rng.choice(["serial", "thread"]),
-        workers=rng.randrange(1, 4),
         batch_size=rng.randrange(1, 64),
     )
     assert sharded.estimates == unsharded.estimates, (

@@ -9,7 +9,8 @@ driver is part of the engine's contract:
 * the worker pool counts one dispatch per batch per active worker, and
   ``workers`` is the pool size;
 * a sharded run counts one dispatch per shard batch per active spec,
-  ``workers`` is the feeding thread / process count, and
+  ``workers`` is 1 on the serial backend and the shard count on the
+  process backend, and
   ``merge_seconds`` is positive (it is 0.0 for every unsharded run).
 
 One small turnstile workload with nonzero per-copy estimates pins all of
@@ -69,8 +70,6 @@ ENGINE_CASES = [
     # backend, mode, dispatches, workers, estimates
     ("serial", "mirror", 45, 1, MIRROR),
     ("serial", "shared", 15, 1, SHARED_SERIAL),
-    ("thread", "mirror", 30, 2, MIRROR),
-    ("thread", "shared", 30, 2, SHARED_POOLED),
     ("process", "mirror", 30, 2, MIRROR),
     ("process", "shared", 30, 2, SHARED_POOLED),
 ]
@@ -106,10 +105,8 @@ def test_stream_engine_counters(monkeypatch, backend, mode, dispatches, workers,
 SHARDED_CASES = [
     # shards, backend, dispatches, workers, merges
     (1, "serial", 45, 1, 0),
-    (1, "thread", 45, 1, 0),
     (1, "process", 45, 1, 9),
     (2, "serial", 54, 1, 9),
-    (2, "thread", 54, 2, 9),
     (2, "process", 54, 2, 18),
 ]
 
@@ -127,7 +124,6 @@ def test_sharded_runner_counters(monkeypatch, shards, backend, dispatches, worke
             rng=SEED,
             batch_size=BATCH,
             backend=backend,
-            workers=WORKERS,
         ),
     )
     assert report.passes == 3

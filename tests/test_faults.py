@@ -47,7 +47,6 @@ from repro.errors import (
 from repro.faults import (
     FaultPlan,
     FaultRule,
-    WorkerKilled,
     activate,
     active_plan,
     append_garbage,
@@ -265,11 +264,11 @@ class TestCorruptionHelpers:
 
 
 class TestParallelWorkerLoss:
-    """run_parallel_engine under injected worker death (thread tier)."""
+    """run_parallel_engine under injected worker death: a real SIGKILL."""
 
     def _run(self, stream, specs, **kwargs):
         return run_parallel_engine(
-            stream, specs, backend="thread", workers=4, batch_size=64,
+            stream, specs, backend="process", workers=4, batch_size=64,
             **kwargs,
         )
 
@@ -290,6 +289,7 @@ class TestParallelWorkerLoss:
             assert degraded[name].details == reference[name].details
         for name in degraded.lost:
             assert name not in degraded.results
+        assert leaked_shm_segments() == []
 
     def test_degrade_is_deterministic(self):
         _, stream = _insertion_fixture()
@@ -316,7 +316,7 @@ class TestParallelWorkerLoss:
         reference = self._run(stream, _triest_specs())
         plan = FaultPlan(seed=SEED + 44).wedge_worker(3, nth_batch=2, seconds=120.0)
         report = run_parallel_engine(
-            stream, _triest_specs(), backend="thread", workers=4,
+            stream, _triest_specs(), backend="process", workers=4,
             batch_size=16, reply_timeout=1.0, on_worker_loss="degrade",
             fault_plan=plan,
         )
@@ -328,7 +328,7 @@ class TestParallelWorkerLoss:
         _, stream = _insertion_fixture()
         with pytest.raises(EngineError):
             run_parallel_engine(stream, _triest_specs(),
-                                backend="thread", on_worker_loss="panic")
+                                backend="process", on_worker_loss="panic")
 
 
 class TestProcessWorkerLoss:
@@ -338,7 +338,7 @@ class TestProcessWorkerLoss:
         _, stream = _insertion_fixture()
         specs = _triest_specs(copies=2)
         reference = run_parallel_engine(
-            stream, [s for s in specs], backend="thread", workers=2,
+            stream, [s for s in specs], backend="process", workers=2,
             batch_size=64,
         )
         plan = FaultPlan(seed=SEED + 45).kill_worker(0, nth_batch=2)
@@ -355,7 +355,7 @@ class TestProcessWorkerLoss:
         _, stream = _insertion_fixture()
         specs = _triest_specs(copies=2)
         reference = run_parallel_engine(
-            stream, [s for s in specs], backend="thread", workers=2,
+            stream, [s for s in specs], backend="process", workers=2,
             batch_size=64,
         )
         plan = FaultPlan(seed=SEED + 46).fail_shm_attach(nth=1, count=2)
@@ -394,7 +394,7 @@ class TestLiveEngineRecovery:
         reference = self._reference(stream, specs)
         plan = FaultPlan(seed=SEED + 51).kill_worker(2, nth_batch=3)
         engine = LiveEngine(
-            n=stream.n, backend="thread", workers=4, batch_size=64,
+            n=stream.n, backend="process", workers=4, batch_size=64,
             respawn_budget=2, fault_plan=plan,
         )
         engine.register_all(specs)
@@ -413,13 +413,15 @@ class TestLiveEngineRecovery:
         reference = self._reference(stream, specs)
         plan = FaultPlan(seed=SEED + 52).kill_worker(2, nth_batch=3)
         engine = LiveEngine(
-            n=stream.n, backend="thread", workers=4, batch_size=64,
+            n=stream.n, backend="process", workers=4, batch_size=64,
             respawn_budget=0, fault_plan=plan,
         )
         engine.register_all(specs)
         self._feed_chunks(engine, stream)
-        # A silent thread death is detected lazily, at the next state
-        # gather — estimate() both finds the body and degrades.
+        # The feed never waits on the dead worker (the ring and its
+        # queue have room for every batch), so the silent death is
+        # found at the next state gather — estimate() both finds the
+        # body and degrades.
         results = engine.estimate()
         assert engine.degraded
         assert engine.lost_estimators == ["t2"]
@@ -439,7 +441,7 @@ class TestLiveEngineRecovery:
         _, stream = _insertion_fixture()
         plan = FaultPlan(seed=SEED + 53).kill_worker(1, nth_batch=2)
         engine = LiveEngine(
-            n=stream.n, backend="thread", workers=4, batch_size=64,
+            n=stream.n, backend="process", workers=4, batch_size=64,
             on_worker_loss="abort", fault_plan=plan,
         )
         engine.register_all(_triest_specs())
@@ -452,7 +454,7 @@ class TestLiveEngineRecovery:
         _, stream = _insertion_fixture()
         plan = FaultPlan(seed=SEED + 54).kill_worker(0, nth_batch=2)
         engine = LiveEngine(
-            n=stream.n, backend="thread", workers=4, batch_size=64,
+            n=stream.n, backend="process", workers=4, batch_size=64,
             respawn_budget=0, fault_plan=plan,
         )
         engine.register_all(_triest_specs())
@@ -723,7 +725,7 @@ class TestDegradedQueries:
 
     def _engine(self, stream, plan):
         engine = LiveEngine(
-            n=stream.n, backend="thread", workers=4, batch_size=64,
+            n=stream.n, backend="process", workers=4, batch_size=64,
             respawn_budget=0, fault_plan=plan,
         )
         engine.register_all(_triest_specs())
@@ -753,10 +755,10 @@ class TestDegradedQueries:
         plan = FaultPlan(seed=SEED + 62).kill_worker(2, nth_batch=3)
         engine = self._engine(stream, plan)
         self._feed_all(engine, stream)
-        # The thread died silently mid-feed; this estimate() is the
+        # The worker died silently mid-feed; this estimate() is the
         # FIRST gather, so the loss surfaces inside it — the old code
         # handed back {"t1": ...} and dropped t2 on the floor.
-        with pytest.raises(EngineError, match="t2"):
+        with pytest.raises(EngineError, match="t2 were lost .* during the state gather"):
             engine.estimate(["t1", "t2"])
         # Survivors stay queryable after the refusal (non-destructive).
         result = engine.estimate(["t1"])

@@ -396,30 +396,6 @@ class TestFrozenReplicas:
             target.update_many_arrays(np.array([5, 9]), np.array([1, 1]))
         assert bank.sampler_state(0) == alone.sampler_state(0)
 
-    def test_thread_feeders_over_one_frozen_part_equal_serial(self):
-        # More feeder threads than cores, switching often, all reading
-        # shard 0's frozen arrays: a write to a shared array (or a lost
-        # cell update) would move the estimates off the serial ones.
-        import sys
-
-        stream = _dense_turnstile_fixture()
-        pattern = patterns.triangle()
-        unsharded = count_subgraphs_turnstile_fused(
-            stream, pattern, copies=2, trials=32, rng=9, mode=FusionMode.MIRROR
-        )
-        assert unsharded.estimate > 0
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for backend, workers in ((EngineBackend.SERIAL, 1), (EngineBackend.THREAD, 4)):
-                sharded = count_subgraphs_turnstile_sharded(
-                    _hash_shards(stream, 8), pattern, copies=2, trials=32, rng=9,
-                    backend=backend, workers=workers, batch_size=32,
-                )
-                assert sharded.estimates == unsharded.estimates, backend
-        finally:
-            sys.setswitchinterval(interval)
-
     def test_differently_seeded_replicas_name_coefficients(self):
         with pytest.raises(MergeError, match="coefficients"):
             _bank(1).replica().merge(_bank(3))
@@ -456,18 +432,6 @@ class TestShardedEndToEnd:
             assert mine.estimate == theirs.estimate
             assert mine.successes == theirs.successes
             assert mine.details == theirs.details
-
-    def test_thread_backend_matches(self):
-        stream = _turnstile_fixture()
-        pattern = patterns.triangle()
-        serial = count_subgraphs_turnstile_sharded(
-            _hash_shards(stream, 3), pattern, copies=2, trials=16, rng=9
-        )
-        threaded = count_subgraphs_turnstile_sharded(
-            _hash_shards(stream, 3), pattern, copies=2, trials=16, rng=9,
-            backend=EngineBackend.THREAD, workers=2,
-        )
-        assert threaded.estimates == serial.estimates
 
     def test_process_backend_matches(self):
         stream = _turnstile_fixture()

@@ -1,15 +1,14 @@
-"""Tests for the sharded parallel backends (:mod:`repro.engine.parallel`).
+"""Tests for the process backend (:mod:`repro.engine.parallel`).
 
 The backends' contract has four legs:
 
 * **equality** — mirror-mode fused counts on ``backend="process"``
-  and ``backend="thread"`` return the same estimates as
-  ``backend="serial"`` for the same seeds, for every worker count
-  (the copies are fully independent, so sharding cannot change them);
+  return the same estimates as ``backend="serial"`` for the same
+  seeds, for every worker count (the copies are fully independent, so
+  sharding cannot change them);
 * **determinism** — every parallel run is a pure function of the
   seeds (and, in shared mode, the worker count): no worker-side
-  entropy, no scheduling sensitivity, no dependence on which pool
-  flavour ran the shards;
+  entropy, no scheduling sensitivity;
 * **serializability** — everything that crosses the process boundary
   (estimator specs, seed material, baseline estimators, results)
   pickles; live generator-based estimators are *reconstructed from
@@ -362,8 +361,9 @@ class TestProcessEngineApi:
 
     def test_unknown_backend_rejected(self):
         _, stream = _insertion_fixture()
-        with pytest.raises(EngineError):
-            StreamEngine(stream, backend="threads")
+        for backend in ("threads", "thread"):
+            with pytest.raises(EngineError, match="'serial', 'process'"):
+                StreamEngine(stream, backend=backend)
 
     def test_run_without_specs_rejected(self):
         _, stream = _insertion_fixture()
@@ -397,86 +397,6 @@ class TestProcessEngineApi:
             EstimatorSpec("expected", build_triest, dict(capacity=10, name="actual"))
         )
         with pytest.raises(EngineError, match="worker 0 failed"):
-            engine.run()
-
-
-class TestThreadBackend:
-    """The thread tier: same worker loop, by-reference transport."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_insertion_mirror_matches_serial_for_every_worker_count(self, workers):
-        _, stream = _insertion_fixture()
-        pattern = patterns.triangle()
-        serial = count_subgraphs_insertion_only_fused(
-            stream, pattern, copies=4, trials=30, rng=5, mode=FusionMode.MIRROR
-        )
-        threaded = count_subgraphs_insertion_only_fused(
-            stream,
-            pattern,
-            copies=4,
-            trials=30,
-            rng=5,
-            mode=FusionMode.MIRROR,
-            backend=EngineBackend.THREAD,
-            workers=workers,
-        )
-        assert threaded.estimate == serial.estimate
-        assert threaded.estimates == serial.estimates
-        assert threaded.passes == serial.passes == 3
-        assert threaded.backend == "thread"
-        for threaded_copy, serial_copy in zip(threaded.copies, serial.copies):
-            _assert_same_result(threaded_copy, serial_copy)
-
-    def test_shared_mode_matches_process_backend(self):
-        # Shared mode shards the merged oracles per worker, so the
-        # estimates depend on the pool size — but not on the pool
-        # flavour: every seed is derived driver-side.
-        _, stream = _insertion_fixture()
-        pattern = patterns.triangle()
-        results = {
-            backend: count_subgraphs_insertion_only_fused(
-                stream,
-                pattern,
-                copies=4,
-                trials=20,
-                rng=23,
-                mode=FusionMode.SHARED,
-                backend=backend,
-                workers=2,
-            )
-            for backend in (EngineBackend.THREAD, EngineBackend.PROCESS)
-        }
-        assert (
-            results[EngineBackend.THREAD].estimates
-            == results[EngineBackend.PROCESS].estimates
-        )
-
-    def test_heterogeneous_baseline_specs_match_one_shot(self):
-        _, stream = _insertion_fixture()
-        pattern = patterns.triangle()
-        engine = StreamEngine(stream, backend=EngineBackend.THREAD, workers=2)
-        engine.register_spec(
-            EstimatorSpec("triest", build_triest, dict(capacity=80, rng=31))
-        )
-        engine.register_spec(
-            EstimatorSpec("exact", build_exact_stream, dict(pattern=pattern))
-        )
-        report = engine.run()
-        assert report.workers == 2
-        assert report["triest"].estimate == triest_count(stream, capacity=80, rng=31).estimate
-        assert report["exact"].estimate == exact_stream_count(stream, pattern).estimate
-
-    def test_register_live_estimator_rejected_on_thread_backend(self):
-        _, stream = _insertion_fixture()
-        engine = StreamEngine(stream, backend=EngineBackend.THREAD)
-        with pytest.raises(EngineError, match="worker pool"):
-            engine.register(TriestEstimator(capacity=10, rng=1))
-
-    def test_worker_failure_propagates_with_traceback(self):
-        _, stream = _insertion_fixture()
-        engine = StreamEngine(stream, backend=EngineBackend.THREAD, workers=1)
-        engine.register_spec(EstimatorSpec("boom", _exploding_factory, {}))
-        with pytest.raises(EngineError, match="thread worker 0 failed"):
             engine.run()
 
 

@@ -424,6 +424,15 @@ class TestServiceEndToEnd:
                 # The connection survives every refusal.
                 assert client.status()["open_streams"] == 0
 
+    def test_open_naming_a_removed_backend_is_refused(self, tmp_path):
+        with ServerThread(root=str(tmp_path)) as server:
+            with ServiceClient(server.host, server.port) as client:
+                with pytest.raises(ServiceError,
+                                   match="EngineError.*'serial', 'process'"):
+                    client.open("old", config=self._wire_config(backend="thread"))
+                assert client.status()["open_streams"] == 0
+        assert not os.path.exists(tmp_path / "old")
+
     def test_malformed_lines_are_answered_not_fatal(self, tmp_path):
         with ServerThread(root=str(tmp_path)) as server:
             sock = socket.create_connection((server.host, server.port),

@@ -5,8 +5,9 @@ are not comparable with any one-shot run; the other suites only check
 that it is deterministic.  These values were recorded before the
 counters were folded into one program builder
 (:func:`repro.streaming.counters.fgp_counter_program`), for each kind
-on one serial run and one 2-worker thread run: each copy's
-``(estimate, successes, space_words)``.  A change to how shared groups
+on one serial run and one 2-worker pooled run (recorded on the
+retired thread pool; the process pool reproduces them exactly): each
+copy's ``(estimate, successes, space_words)``.  A change to how shared groups
 are built, seeded or finalized shows up here as a changed number.
 """
 
@@ -35,7 +36,7 @@ PINNED = {
         (978.9071872501498, 2, 144),
         (0.0, 0, 144),
     ],
-    "insertion/thread": [
+    "insertion/process": [
         (978.9071872501498, 2, 200),
         (0.0, 0, 200),
         (1468.3607808752247, 3, 195),
@@ -47,7 +48,7 @@ PINNED = {
         (978.9071872501498, 2, 28673),
         (489.4535936250749, 1, 28673),
     ],
-    "turnstile/thread": [
+    "turnstile/process": [
         (489.4535936250749, 1, 28673),
         (0.0, 0, 28673),
         (1468.3607808752247, 3, 28673),
@@ -59,7 +60,7 @@ PINNED = {
         (24492.25, 2, 129),
         (24492.25, 2, 129),
     ],
-    "two-pass/thread": [
+    "two-pass/process": [
         (12246.125, 1, 165),
         (12246.125, 1, 165),
         (0.0, 0, 158),
@@ -82,7 +83,7 @@ def test_shared_mode_matches_pinned_values(key):
     stream, pattern = _fixture(kind)
     result = COUNTERS[kind](
         stream, pattern, copies=4, trials=32, rng=29, mode="shared",
-        backend=backend, workers=2 if backend == "thread" else None,
+        backend=backend, workers=2 if backend == "process" else None,
     )
     observed = [(copy.estimate, copy.successes, copy.space_words) for copy in result.copies]
     assert observed == PINNED[key]

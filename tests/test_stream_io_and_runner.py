@@ -77,7 +77,7 @@ class TestExperimentRunner:
         tables = run_all(fast=True, seed=3, only=["e14"], stream=buffer, workers=2)
         assert len(tables) == 1
         text = buffer.getvalue()
-        assert "E14" in text and "thread" in text and "process" in text
+        assert "E14" in text and "serial" in text and "process" in text
         # Every row of the mirror-mode comparison reports serial equality.
         assert "False" not in text
 

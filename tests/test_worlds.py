@@ -187,6 +187,14 @@ class TestWorldGridValidation:
         with pytest.raises(WorldsError, match="not valid JSON"):
             WorldGrid.from_file(bad)
 
+    def test_grid_file_naming_a_removed_backend_is_refused(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"families": ["gnp"], "backend": "thread"}),
+                        encoding="utf-8")
+        with pytest.raises(WorldsError, match="unknown backend 'thread'; "
+                                              "known: serial, process"):
+            WorldGrid.from_file(path)
+
 
 def _mini_grid(**overrides):
     kwargs = dict(

@@ -7,7 +7,8 @@ honest as the CLI and module tree evolve:
 * every ``python -m repro <subcommand>`` in a fenced code block names a
   real subcommand, and every ``--flag`` on such a line appears in
   ``src/repro/cli.py`` (or ``src/repro/experiments/runner.py`` for
-  ``python -m repro.experiments`` lines);
+  ``python -m repro.experiments`` lines), and every ``--backend VALUE``
+  on such a line is one of that option's ``choices`` in the CLI;
 * every dotted ``repro.foo.bar`` reference resolves to a module file
   under ``src/`` (trailing attribute names are tolerated);
 * every referenced repo-relative path (``docs/...``, ``examples/...``,
@@ -62,6 +63,11 @@ def check_document(path: Path, cli_source: str, runner_source: str):
     subcommands = set(
         re.findall(r'commands\.add_parser\(\s*"([a-z]+)"', cli_source)
     )
+    backends = {
+        value
+        for choices in re.findall(r'"--backend",\s*choices=\[([^\]]*)\]', cli_source)
+        for value in re.findall(r'"([a-z]+)"', choices)
+    }
 
     for line in fenced_code_lines(text):
         if not line.startswith("python -m repro"):
@@ -76,6 +82,13 @@ def check_document(path: Path, cli_source: str, runner_source: str):
                     errors.append(
                         f"{path.name}: unknown subcommand {subcommand!r} in: {line}"
                     )
+            for value in re.findall(r"--backend[ =]([\w|]+)", line):
+                for backend in value.split("|"):
+                    if backend not in backends:
+                        errors.append(
+                            f"{path.name}: --backend {backend!r} is not one of "
+                            f"the CLI's choices {sorted(backends)} in: {line}"
+                        )
         for flag in re.findall(r"(?<!-)(--[a-z][a-z-]*)", line):
             if flag in FOREIGN_FLAGS:
                 continue
