@@ -108,6 +108,10 @@ SHARDED_CASES = [
     (1, "process", 45, 1, 9),
     (2, "serial", 54, 1, 9),
     (2, "process", 54, 2, 18),
+    # Three shards tell the process backend's worker count (one per
+    # shard) apart from the engine runs' pool size of two.
+    (3, "serial", 54, 1, 18),
+    (3, "process", 54, 3, 27),
 ]
 
 

@@ -448,6 +448,19 @@ class TestShardedEndToEnd:
 
         assert leaked_shm_segments() == []
 
+    @pytest.mark.parametrize("backend", ["thread", "threads"])
+    def test_unknown_backend_refused_before_any_work(self, backend):
+        stream = _turnstile_fixture()
+        shards = _hash_shards(stream, 2)
+        with pytest.raises(EngineError, match="'serial', 'process'"):
+            ShardedRunner(shards, backend=backend)
+        with pytest.raises(EngineError, match="'serial', 'process'"):
+            count_subgraphs_turnstile_sharded(
+                shards, patterns.triangle(), copies=2, trials=16, rng=9,
+                backend=backend,
+            )
+        assert all(shard.passes_used == 0 for shard in shards)
+
     def test_triangle_dense_stream_across_views_disk_shards_and_processes(
         self, tmp_path
     ):

@@ -370,6 +370,17 @@ class TestProcessEngineApi:
         with pytest.raises(EngineError):
             StreamEngine(stream, backend=EngineBackend.PROCESS).run()
 
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_run_parallel_engine_drives_only_the_process_backend(self, backend):
+        # The pool driver refuses any other backend before it starts a
+        # worker or opens a pass.
+        _, stream = _insertion_fixture()
+        spec = EstimatorSpec("triest", build_triest, dict(capacity=10, rng=1))
+        with pytest.raises(EngineError, match=f"got {backend!r}"):
+            run_parallel_engine(stream, [spec], backend=backend)
+        assert stream.passes_used == 0
+        assert leaked_shm_segments() == []
+
     def test_worker_failure_propagates_with_traceback(self):
         _, stream = _insertion_fixture()
         engine = StreamEngine(stream, backend=EngineBackend.PROCESS, workers=1)
