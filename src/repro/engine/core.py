@@ -430,7 +430,6 @@ class StreamEngine:
             return run_parallel_engine(
                 self._stream,
                 self._specs,
-                backend=self._backend,
                 workers=self._workers,
                 batch_size=self._batch_size,
                 start_method=self._start_method,

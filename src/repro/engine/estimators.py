@@ -35,6 +35,7 @@ and is deliberately *not* shipped — reconstruct from seeds.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.baselines.doulion import DoulionEstimator
@@ -111,6 +112,9 @@ class RoundAdaptiveEstimator:
         # function of (construction seeds, dispatched answers), so the
         # answer history IS the portable form of its state.
         self._history: list = []
+        # A fork's template's open pass and its round (see fork()).
+        self._like = None
+        self._like_round = -1
 
     @property
     def rounds(self) -> int:
@@ -270,6 +274,28 @@ class RoundAdaptiveEstimator:
             "pass_state": None if self._state is None else self._state.state_dict(),
         }
 
+    def fork(self, stream) -> Optional["RoundAdaptiveEstimator"]:
+        """A freshly built copy of this estimator over *stream*, from its frozen parts.
+
+        Equal to rebuilding it from its spec: the program's fork (a
+        trial bank over the same tape), a new oracle of the same
+        configuration over *stream*, and the finalizer bound to both.
+        Load a capture into it (:meth:`load_state_dict`); a captured
+        pass at this estimator's current round then opens over this
+        estimator's open pass (``begin_batch(batch, like=...)``) instead
+        of laying the batch out again.  This estimator is never
+        written.  ``None`` when the program cannot fork (generator
+        frames): rebuild from the spec instead.
+        """
+        fork_program = getattr(self._lockstep, "fork", None)
+        bind = getattr(self._finalize, "bind", None)
+        if fork_program is None or bind is None:
+            return None
+        oracle = self._oracle.fork(stream)
+        fork = RoundAdaptiveEstimator(self.name, fork_program(), oracle, bind(stream, oracle))
+        fork._like, fork._like_round = self._state, self._rounds
+        return fork
+
     def load_state_dict(self, state: dict) -> None:
         """Replay a capture into this *freshly built* estimator.
 
@@ -315,11 +341,14 @@ class RoundAdaptiveEstimator:
                         "its replayed rounds have finished"
                     )
                 # Rebuild the pass structure from the replayed merged
-                # batch, then overlay the captured runtime state.  The
+                # batch (a fork shares its template's, at the same
+                # round), then overlay the captured runtime state.  The
                 # oracle rng position is restored below, so whatever
                 # begin_batch consumed here is irrelevant.
                 merged = self._lockstep.merge()
-                self._state = self._oracle.begin_batch(merged)
+                like = self._like if self._like_round == len(history) else None
+                self._like = None
+                self._state = self._oracle.begin_batch(merged, like)
                 self._state.load_state_dict(pass_state)
         except OracleError as error:
             raise CheckpointError(
@@ -362,7 +391,7 @@ def fgp_estimator(
         sampler_repetitions=sampler_repetitions,
     )
     return RoundAdaptiveEstimator(
-        name or f"fgp-{kind}", bank, oracle, lambda run: finalize(run)[0]
+        name or f"fgp-{kind}", bank, oracle, replace(finalize, single=True)
     )
 
 

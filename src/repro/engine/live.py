@@ -9,10 +9,11 @@ restarts.  :class:`LiveEngine` is that layer:
 * :meth:`LiveEngine.feed` applies a batch of updates incrementally to
   every registered estimator's open pass state (and journals it);
 * :meth:`LiveEngine.estimate` answers **at any point** without
-  consuming the live state: each estimator is *forked* — rebuilt from
-  its spec, restored from its ``state_dict`` — and the fork finishes
-  its remaining passes over the journaled prefix while the live
-  estimators keep streaming;
+  consuming the live state: each estimator is *forked* — built from
+  the frozen parts of a template estimator (or rebuilt from its spec),
+  restored from its ``state_dict`` — and the fork finishes its
+  remaining passes over the journaled prefix while the live estimators
+  keep streaming;
 * :meth:`LiveEngine.snapshot` serializes the full engine state
   (journal columns, estimator specs, sketch internals, reservoir
   banks, pass-state accumulators, rng positions) to a versioned
@@ -666,6 +667,8 @@ class LiveEngine:
         self._specs: List[EstimatorSpec] = []
         self._spec_names: Dict[str, EstimatorSpec] = {}
         self._estimators: List[Any] = []
+        #: Process backend: driver-side estimators that queries fork from.
+        self._fork_templates: Dict[str, Any] = {}
         self._pool: Optional[Any] = None
         self._active_workers: List[int] = []
         self._started = False
@@ -1084,14 +1087,34 @@ class LiveEngine:
             if wanted is None or name in wanted
         }
 
+    def _templates(self, specs: Sequence[EstimatorSpec]) -> Dict[str, Any]:
+        """The estimators that queries fork from, by name.
+
+        Serial backend: the live estimators themselves (a fork only
+        reads them, and their pass 0 stays open).  Process backend: one
+        driver-side estimator per spec, built on first use and opened
+        at pass 0 as the workers' are, then kept for the engine's life.
+        """
+        if self._backend == EngineBackend.SERIAL:
+            return {estimator.name: estimator for estimator in self._estimators}
+        handle = StreamHandle.of(self._journal)
+        for spec in specs:
+            if spec.name not in self._fork_templates:
+                template = spec.build(handle)
+                if template.wants_pass():
+                    template.begin_pass(0)
+                self._fork_templates[spec.name] = template
+        return self._fork_templates
+
     def estimate(self, names: Optional[Sequence[str]] = None) -> Dict[str, Any]:
         """Finish a *fork* of each estimator on the journaled prefix.
 
         Returns ``{name: result}`` for the requested estimators (all by
-        default).  The live state is untouched: each estimator is
-        rebuilt from its spec against the frozen prefix stream, loaded
-        from its current ``state_dict``, its open pass is closed, and
-        its remaining passes run over the journal.  A full-stream
+        default).  The live state is untouched: each estimator is forked
+        from its template (:meth:`_templates`; an estimator that cannot
+        fork is rebuilt from its spec) against the frozen prefix stream,
+        loaded from its current ``state_dict``, its open pass is closed,
+        and its remaining passes run over the journal.  A full-stream
         estimate is therefore bit-identical to the one-shot fused run
         with the same seeds; a mid-stream estimate equals the one-shot
         run on the prefix.
@@ -1134,9 +1157,15 @@ class LiveEngine:
                 "or open a fresh engine"
             )
         stream = self._journal.freeze_stream()
+        # Before the first feed nothing is captured, and a fork's
+        # unseeded oracle needs a capture: every estimator is rebuilt.
+        templates = self._templates(selected) if self._started else {}
         results: Dict[str, Any] = {}
         for spec in selected:
-            fork = spec.build(stream)
+            template = templates.get(spec.name)
+            fork = template.fork(stream) if hasattr(template, "fork") else None
+            if fork is None:
+                fork = spec.build(stream)
             if self._started:
                 state = states.get(spec.name)
                 if state is None:
@@ -1492,6 +1521,7 @@ class LiveEngine:
         if self._closed:
             return
         self._closed = True
+        self._fork_templates = {}
         if self._pool is not None:
             self._pool.shutdown(graceful=True)
             self._pool = None

@@ -1104,7 +1104,6 @@ def make_worker_pool(
 def run_parallel_engine(
     stream: EdgeStream,
     specs: Sequence[EstimatorSpec],
-    backend: str = "process",
     workers: Optional[int] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     start_method: Optional[str] = None,
@@ -1145,12 +1144,9 @@ def run_parallel_engine(
     lost estimator names in ``lost``, and each surviving estimate is
     bit-identical to a run configured without the lost copies.
     """
-    if backend != EngineBackend.PROCESS:
-        raise EngineError(
-            f"run_parallel_engine drives the {EngineBackend.PROCESS!r} backend, "
-            f"got {backend!r}"
-        )
-    batch_size = check_engine_config(batch_size, backend, max_passes, on_worker_loss)
+    batch_size = check_engine_config(
+        batch_size, EngineBackend.PROCESS, max_passes, on_worker_loss
+    )
     if not specs:
         raise EngineError("no estimator specs registered")
     names = [spec.name for spec in specs]

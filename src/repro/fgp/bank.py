@@ -8,22 +8,31 @@ arrays and issues each round as one
 :class:`~repro.oracle.base.QueryColumns` batch: trial by trial, in
 trial order, the queries one attempt would ask.
 
-Each trial keeps its own ``random.Random`` and draws from it in the
+Every draw a trial makes is a uniform ``random()``, taken in the
 attempt's order: the orientation coins of its unfailed pieces and (in
 the augmented model) one neighbor index per odd cycle after round 1,
 then per odd cycle the branch or acceptance coin SampleWedge needs,
-then the copy slot.  Trials are independent, so only the order within
-a trial matters.  The rejections that need no randomness beyond those
-coins — failed samples, a ``None`` wedge, a disabled branch, a failed
-coin, repeated vertices, a missing cycle edge, stars without a common
-center — are array masks; the canonicality checks (Definitions 13–14),
-the copy resolution and the slot draw run in Python for the few trials
-that survive them.
+then the copy slot.  So a trial makes at most D = (round-1 slots) +
+(augmented: one per odd cycle) + (one coin per odd cycle) + 1 draws,
+D = 5 for the triangle in the augmented model.  The bank draws each
+trial's first D uniforms off its randomness source at construction
+into a read-only ``(k, D)`` *tape* and keeps a per-trial cursor into
+it; it holds no ``random.Random`` afterwards.  Trials are independent,
+so only the order within a trial matters, and a tape row is exactly
+the sequence the trial would have drawn.  The rejections that need no
+randomness beyond those coins — failed samples, a ``None`` wedge, a
+disabled branch, a failed coin, repeated vertices, a missing cycle
+edge, stars without a common center — are array masks; the
+canonicality checks (Definitions 13–14), the copy resolution and the
+slot draw run in Python for the few trials that survive them.
 
 The bank exposes the lockstep protocol of
 :class:`~repro.transform.driver.LockstepState` (``live``, ``merge()``,
 ``dispatch(answers)``, ``outputs``), so the drivers and the engine's
 ``RoundAdaptiveEstimator`` run it where they would run generators.
+:meth:`FgpTrialBank.fork` starts a fresh run over the same tape and
+structure, which is how a live query forks an estimator without
+re-seeding its trials.
 """
 
 from __future__ import annotations
@@ -77,6 +86,9 @@ class FgpTrialBank:
         The pattern H whose copies the trials sample.
     rngs:
         One randomness source per trial (seed or ``random.Random``).
+        Each is read once, here: it advances by exactly D ``random()``
+        draws (see the module docstring), however many the trial
+        later uses.
     mode:
         :attr:`SamplerMode.AUGMENTED` (indexed f3) or
         :attr:`SamplerMode.RELAXED` (random-neighbor f3 plus an
@@ -96,6 +108,12 @@ class FgpTrialBank:
     structure stays input-independent.
     """
 
+    #: What :meth:`fork` shares: set at construction, never written after.
+    _FROZEN = (
+        "_pattern", "_family_count", "_tape", "_relaxed", "_branches", "_piece_starts",
+        "_piece_of_slot", "_cycles", "_stars", "_wedge_round", "_first_round",
+    )
+
     def __init__(
         self,
         pattern: Pattern,
@@ -112,7 +130,6 @@ class FgpTrialBank:
         # Computed up front, as each attempt did: the pattern's cache is
         # part of every estimator spec a checkpoint pickles.
         self._family_count = pattern.family_count()
-        self._random = [ensure_rng(rng).random for rng in rngs]
         self._relaxed = mode == SamplerMode.RELAXED
         self._branches = wedge_branches
         decomposition = pattern.decomposition()
@@ -127,16 +144,44 @@ class FgpTrialBank:
         self._cycles = [(starts[i], size - 1) for i, size in enumerate(sizes[: len(cycles)])]
         self._stars = [range(starts[i], starts[i + 1]) for i in range(len(cycles), len(sizes))]
         self._wedge_round = bool(cycles) or not skip_empty_wedge_round
-        trials = len(self._random)
+        slots = len(self._piece_of_slot)
+        draws = slots + (0 if self._relaxed else len(cycles)) + len(cycles) + 1
+        uniforms = [ensure_rng(rng).random for rng in rngs]
+        trials = len(uniforms)
+        self._tape = np.fromiter(
+            (draw() for draw in uniforms for _ in range(draws)),
+            dtype=np.float64,
+            count=trials * draws,
+        ).reshape(trials, draws)
+        kinds = np.tile(np.array([EDGE_COUNT] + [RANDOM_EDGE] * slots, dtype=np.int8), trials)
+        zeros = np.zeros(trials * (slots + 1), dtype=np.int64)
+        for array in (self._tape, kinds, zeros):
+            array.flags.writeable = False
+        self._first_round = QueryColumns(kinds, zeros, zeros) if trials else None
+        self._reset()
+
+    def _reset(self) -> None:
+        """Start the run: every trial alive, nothing drawn, round 1 pending."""
+        trials = len(self._tape)
         self.outputs: List[Optional[SampledCopy]] = [None] * trials
         self._round = 0  # rounds dispatched so far
         self._alive = np.ones(trials, dtype=bool)
-        slots = len(self._piece_of_slot)
-        kinds = np.array([EDGE_COUNT] + [RANDOM_EDGE] * slots, dtype=np.int8)
-        zeros = np.zeros(trials * (slots + 1), dtype=np.int64)
-        self._pending: Optional[QueryColumns] = (
-            QueryColumns(np.tile(kinds, trials), zeros, zeros) if trials else None
-        )
+        self._cursor = np.zeros(trials, dtype=np.int64)  # uniforms drawn per trial
+        self._pending: Optional[QueryColumns] = self._first_round
+
+    def fork(self) -> "FgpTrialBank":
+        """A fresh run over this bank's tape and structure.
+
+        The fork shares the read-only parts (tape, pattern structure,
+        round-1 columns) and has its own cursors and round state, so it
+        equals a bank rebuilt from the same sources, and this bank is
+        never written.
+        """
+        bank = object.__new__(FgpTrialBank)
+        for name in self._FROZEN:
+            setattr(bank, name, getattr(self, name))
+        bank._reset()
+        return bank
 
     # -- the lockstep protocol --------------------------------------------
 
@@ -161,17 +206,16 @@ class FgpTrialBank:
 
     # -- rounds ------------------------------------------------------------
 
-    def _draw(self, trials: np.ndarray, counts: np.ndarray) -> List[float]:
-        """``counts[i]`` uniforms from trial ``trials[i]``'s rng, flattened."""
-        random = self._random
-        calls = itertools.chain.from_iterable(
-            map(itertools.repeat, [random[t] for t in trials.tolist()], counts.tolist())
-        )
-        return [call() for call in calls]
+    def _draw(self, trials: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The next ``counts[i]`` uniforms of distinct trials ``trials[i]``, flattened."""
+        firsts = np.cumsum(counts) - counts  # each trial's first flat position
+        columns = np.arange(counts.sum()) - np.repeat(firsts - self._cursor[trials], counts)
+        self._cursor[trials] += counts
+        return self._tape[np.repeat(trials, counts), columns]
 
     def _take_edges(self, answers: List[Any]) -> None:
         """Round 1: edge count and samples; orient, then ask for wedges."""
-        trials = len(self._random)
+        trials = len(self._tape)
         slots = len(self._piece_of_slot)
         width = slots + 1
         m = np.fromiter(answers[::width], dtype=np.int64, count=trials)
@@ -222,7 +266,7 @@ class FgpTrialBank:
     def _take_wedges(self, answers: List[Any]) -> None:
         """Round 2: the wedge vertices (``-1`` for ``None``)."""
         cycles = len(self._cycles)
-        wedges = np.full((len(self._random), cycles), -1, dtype=np.int64)
+        wedges = np.full((len(self._tape), cycles), -1, dtype=np.int64)
         wedges[self._alive] = np.fromiter(
             (-1 if vertex is None else vertex for vertex in answers),
             dtype=np.int64,
@@ -390,7 +434,7 @@ class FgpTrialBank:
                 f"{family_count}; per-copy probability accounting would break"
             )
         candidates.sort(key=sorted)
-        slot = int(self._random[trial]() * family_count)
+        slot = int(self._draw(np.array([trial]), np.ones(1, dtype=np.int64))[0] * family_count)
         if slot >= len(candidates):
             return None
         chosen = candidates[slot]

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.core import EngineBackend
 from repro.engine.estimators import copy_specs, fgp_estimator
 from repro.engine.live import (
     DEFAULT_MAX_DELTAS,
@@ -243,6 +244,17 @@ class StreamConfig:
                 f"stream config is missing required field(s): "
                 f"{', '.join(missing)}"
             )
+        backend = doc.get("backend", EngineBackend.SERIAL)
+        if backend not in EngineBackend._ALL:
+            raise ServiceError(
+                f"unknown backend {backend!r}; expected one of "
+                f"{', '.join(EngineBackend._ALL)}"
+            )
+        workers = doc.get("workers")
+        if workers is not None and (
+            isinstance(workers, bool) or not isinstance(workers, int) or workers < 1
+        ):
+            raise ServiceError(f"workers must be an integer >= 1, got {workers!r}")
         kind = doc["estimator"]
         if kind not in FGP_COUNTERS and kind != "triest":
             raise ServiceError(
@@ -279,8 +291,8 @@ class StreamConfig:
                 allow_deletions=allow_deletions,
                 batch_size=int(doc.get("batch_size", 4096)),
                 specs=tuple(specs),
-                backend=doc.get("backend", "serial"),
-                workers=doc.get("workers"),
+                backend=backend,
+                workers=workers,
                 checkpoint=policy,
             )
         except (TypeError, ValueError) as error:

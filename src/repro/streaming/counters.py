@@ -18,8 +18,8 @@ module that knows what a kind means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import EstimationError
 from repro.estimate.concentration import ParamMode, chernoff_trials
@@ -129,6 +129,63 @@ def resolve_trials(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class FgpFinalize:
+    """Maps a copy group's finished run to its estimates (see :func:`fgp_counter_program`).
+
+    It reads m off *stream* and the metered peak off *oracle* when
+    called, so a fork of the estimator rebinds it (:meth:`bind`) to the
+    fork's own stream and oracle.  With ``single`` it returns the first
+    copy's result instead of the list (a standalone estimator).
+    """
+
+    counter: FgpCounter
+    pattern: Pattern
+    stream: Any
+    oracle: Any
+    copies: int
+    trials: int
+    copy_indices: Optional[Sequence[int]] = None
+    single: bool = False
+
+    def bind(self, stream, oracle) -> "FgpFinalize":
+        """This finalizer over another stream and oracle."""
+        return replace(self, stream=stream, oracle=oracle)
+
+    def __call__(self, run):
+        counter, pattern, copies, trials = self.counter, self.pattern, self.copies, self.trials
+        m = self.stream.net_edge_count
+        rho = pattern.rho()
+        peak = self.oracle.space.peak_words
+        results = []
+        for slot in range(copies):
+            outputs = run.outputs[slot * trials : (slot + 1) * trials]
+            successes = sum(1 for output in outputs if output is not None)
+            estimate = (successes / trials) * (2.0 * m) ** rho if m else 0.0
+            details = {
+                "rho": rho,
+                "queries": float(-(-run.total_queries // copies)),
+                "success_rate": successes / trials,
+            }
+            if self.copy_indices is not None:
+                details["fused_copy"] = float(self.copy_indices[slot])
+                details["shard_space_words"] = float(peak)
+            results.append(
+                EstimateResult(
+                    algorithm=counter.algorithm,
+                    pattern=pattern.name,
+                    estimate=estimate,
+                    passes=run.rounds,
+                    space_words=-(-peak // copies),
+                    trials=trials,
+                    successes=successes,
+                    m=m,
+                    details=details,
+                )
+            )
+        return results[0] if self.single else results
+
+
 def fgp_counter_program(
     kind: str,
     stream,
@@ -146,8 +203,8 @@ def fgp_counter_program(
     :class:`~repro.fgp.bank.FgpTrialBank` holds every copy's trials,
     copy by copy; drive it against the oracle (sequentially with
     :func:`~repro.transform.driver.run_round_adaptive`, or through
-    engine passes), then ``finalize(run)`` returns one
-    :class:`~repro.estimate.result.EstimateResult` per copy.
+    engine passes), then ``finalize(run)`` (an :class:`FgpFinalize`)
+    returns one :class:`~repro.estimate.result.EstimateResult` per copy.
 
     Each copy's ``space_words`` and ``details["queries"]`` are its
     share of the group's metered peak and query total (ceil(total /
@@ -175,38 +232,7 @@ def fgp_counter_program(
         skip_empty_wedge_round=counter.star_only,
     )
 
-    def finalize(run) -> List[EstimateResult]:
-        m = stream.net_edge_count
-        rho = pattern.rho()
-        peak = oracle.space.peak_words
-        results = []
-        for slot in range(copies):
-            outputs = run.outputs[slot * trials : (slot + 1) * trials]
-            successes = sum(1 for output in outputs if output is not None)
-            estimate = (successes / trials) * (2.0 * m) ** rho if m else 0.0
-            details = {
-                "rho": rho,
-                "queries": float(-(-run.total_queries // copies)),
-                "success_rate": successes / trials,
-            }
-            if copy_indices is not None:
-                details["fused_copy"] = float(copy_indices[slot])
-                details["shard_space_words"] = float(peak)
-            results.append(
-                EstimateResult(
-                    algorithm=counter.algorithm,
-                    pattern=pattern.name,
-                    estimate=estimate,
-                    passes=run.rounds,
-                    space_words=-(-peak // copies),
-                    trials=trials,
-                    successes=successes,
-                    m=m,
-                    details=details,
-                )
-            )
-        return results
-
+    finalize = FgpFinalize(counter, pattern, stream, oracle, copies, trials, copy_indices)
     return oracle, bank, finalize
 
 

@@ -325,8 +325,16 @@ class StreamOracle:
         return state.finish()
 
     def _config(self) -> dict:
-        """Construction parameters a capture must echo."""
+        """Construction parameters a capture must echo (constructor keywords)."""
         return {}
+
+    def fork(self, stream) -> "StreamOracle":
+        """A fresh oracle of this one's configuration over *stream*.
+
+        Its rng, pass index, accounting and space meter start afresh:
+        load a capture (:meth:`load_state_dict`) to position them.
+        """
+        return type(self)(stream, **self._config())
 
     def state_dict(self) -> dict:
         """Oracle-level runtime state (rng position, accounting, space)."""

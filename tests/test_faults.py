@@ -268,7 +268,7 @@ class TestParallelWorkerLoss:
 
     def _run(self, stream, specs, **kwargs):
         return run_parallel_engine(
-            stream, specs, backend="process", workers=4, batch_size=64,
+            stream, specs, workers=4, batch_size=64,
             **kwargs,
         )
 
@@ -316,7 +316,7 @@ class TestParallelWorkerLoss:
         reference = self._run(stream, _triest_specs())
         plan = FaultPlan(seed=SEED + 44).wedge_worker(3, nth_batch=2, seconds=120.0)
         report = run_parallel_engine(
-            stream, _triest_specs(), backend="process", workers=4,
+            stream, _triest_specs(), workers=4,
             batch_size=16, reply_timeout=1.0, on_worker_loss="degrade",
             fault_plan=plan,
         )
@@ -328,7 +328,7 @@ class TestParallelWorkerLoss:
         _, stream = _insertion_fixture()
         with pytest.raises(EngineError):
             run_parallel_engine(stream, _triest_specs(),
-                                backend="process", on_worker_loss="panic")
+                                on_worker_loss="panic")
 
 
 class TestProcessWorkerLoss:
@@ -338,12 +338,12 @@ class TestProcessWorkerLoss:
         _, stream = _insertion_fixture()
         specs = _triest_specs(copies=2)
         reference = run_parallel_engine(
-            stream, [s for s in specs], backend="process", workers=2,
+            stream, [s for s in specs], workers=2,
             batch_size=64,
         )
         plan = FaultPlan(seed=SEED + 45).kill_worker(0, nth_batch=2)
         report = run_parallel_engine(
-            stream, specs, backend="process", workers=2, batch_size=64,
+            stream, specs, workers=2, batch_size=64,
             on_worker_loss="degrade", fault_plan=plan,
         )
         assert report.degraded
@@ -355,12 +355,12 @@ class TestProcessWorkerLoss:
         _, stream = _insertion_fixture()
         specs = _triest_specs(copies=2)
         reference = run_parallel_engine(
-            stream, [s for s in specs], backend="process", workers=2,
+            stream, [s for s in specs], workers=2,
             batch_size=64,
         )
         plan = FaultPlan(seed=SEED + 46).fail_shm_attach(nth=1, count=2)
         report = run_parallel_engine(
-            stream, specs, backend="process", workers=2, batch_size=64,
+            stream, specs, workers=2, batch_size=64,
             fault_plan=plan,
         )
         assert not report.degraded

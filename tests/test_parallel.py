@@ -370,16 +370,26 @@ class TestProcessEngineApi:
         with pytest.raises(EngineError):
             StreamEngine(stream, backend=EngineBackend.PROCESS).run()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_run_parallel_engine_drives_only_the_process_backend(self, backend):
-        # The pool driver refuses any other backend before it starts a
-        # worker or opens a pass.
+    def test_serial_engine_starts_no_pool_or_segment(self, monkeypatch):
+        # The serial backend runs in-process: it never reaches the pool
+        # driver, starts no worker and opens no shared-memory segment.
+        import multiprocessing
+
+        import repro.engine.parallel as parallel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the serial backend reached the pool driver")
+
+        monkeypatch.setattr(parallel, "run_parallel_engine", refuse)
+        monkeypatch.setattr(parallel, "spec_pool", refuse)
+        before = set(leaked_shm_segments())
         _, stream = _insertion_fixture()
-        spec = EstimatorSpec("triest", build_triest, dict(capacity=10, rng=1))
-        with pytest.raises(EngineError, match=f"got {backend!r}"):
-            run_parallel_engine(stream, [spec], backend=backend)
-        assert stream.passes_used == 0
-        assert leaked_shm_segments() == []
+        engine = StreamEngine(stream, backend="serial")
+        engine.register_spec(EstimatorSpec("triest", build_triest, dict(capacity=10, rng=1)))
+        report = engine.run()
+        assert report.workers == 1 and "triest" in report.results
+        assert multiprocessing.active_children() == []
+        assert set(leaked_shm_segments()) == before
 
     def test_worker_failure_propagates_with_traceback(self):
         _, stream = _insertion_fixture()
@@ -553,7 +563,6 @@ class TestTeardownHygiene:
                 EstimatorSpec("t1", build_triest,
                               dict(capacity=60, rng=32, name="t1")),
             ],
-            backend="process",
             workers=2,
             batch_size=64,
             on_worker_loss="degrade",

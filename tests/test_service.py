@@ -315,6 +315,25 @@ class TestWireConfig:
         with pytest.raises(ServiceError, match="at least one estimator"):
             StreamConfig(n=64, specs=())
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("backend", "thread", "unknown backend 'thread'; expected one of serial, process"),
+        ("backend", None, "unknown backend None"),
+        ("workers", 0, "workers must be an integer >= 1, got 0"),
+        ("workers", "2", "workers must be an integer >= 1, got '2'"),
+        ("workers", 1.5, "got 1.5"),
+        ("workers", True, "got True"),
+    ])
+    def test_from_wire_refuses_bad_engine_options(self, field, value, message):
+        # Refused as ServiceError by the config itself, before any
+        # engine is built.
+        with pytest.raises(ServiceError, match=re.escape(message)):
+            StreamConfig.from_wire({"n": 64, "estimator": "triest", field: value})
+
+    def test_from_wire_passes_good_engine_options_through(self):
+        config = StreamConfig.from_wire({"n": 64, "estimator": "triest",
+                                         "backend": "process", "workers": 2})
+        assert (config.backend, config.workers) == ("process", 2)
+
 
 class TestProtocol:
     def test_decode_request_refusals(self):
@@ -428,7 +447,8 @@ class TestServiceEndToEnd:
         with ServerThread(root=str(tmp_path)) as server:
             with ServiceClient(server.host, server.port) as client:
                 with pytest.raises(ServiceError,
-                                   match="EngineError.*'serial', 'process'"):
+                                   match="ServiceError: unknown backend 'thread'"
+                                         ".*serial, process"):
                     client.open("old", config=self._wire_config(backend="thread"))
                 assert client.status()["open_streams"] == 0
         assert not os.path.exists(tmp_path / "old")
